@@ -26,6 +26,7 @@ import os  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
 import shutil  # noqa: E402
+import signal  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -206,12 +207,49 @@ def measure_setup(args) -> tuple[list[float], list[float]]:
     raw, factors = [], []
     for _ in range(SETUP_REPEATS):
         before = calibration_times()
-        probe = subprocess.run(
-            command, capture_output=True, text=True, timeout=120, check=True
-        )
+        stdout = run_probe(command)
         factors.append(speed_factor(before + calibration_times()))
-        raw.append(float(probe.stdout.strip().splitlines()[-1]))
+        raw.append(float(stdout.strip().splitlines()[-1]))
     return raw, factors
+
+
+def run_probe(command) -> str:
+    """Run one set-up probe in a process group of its own and return its
+    output.  Whatever the probe leaves in its group is killed before this
+    returns, on every path out."""
+    with subprocess.Popen(
+        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    ) as probe:
+        try:
+            stdout, stderr = probe.communicate(timeout=120)
+        finally:
+            try:
+                os.killpg(probe.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            probe.wait()
+    if probe.returncode != 0:
+        raise subprocess.CalledProcessError(
+            probe.returncode, command, stdout, stderr
+        )
+    return stdout
+
+
+def stop_resource_tracker() -> None:
+    """Stop multiprocessing's resource tracker, if this process started one
+    (the sweep's shared grid store does), and wait for it to end.
+
+    Left alone it outlives the benchmark: it ends only after noticing that
+    its pipe closed and releasing whatever it still tracks."""
+    module = sys.modules.get("multiprocessing.resource_tracker")
+    tracker = getattr(module, "_resource_tracker", None)
+    if getattr(tracker, "_pid", None) is None:
+        return
+    try:
+        tracker._stop()
+    except ChildProcessError:
+        pass
 
 
 class Runner:
@@ -379,13 +417,23 @@ def probe_setup(args) -> int:
     workload = suite.WORKLOADS[args.workload](
         args.seed, args.scenario_seed, args.arrival_seed
     )
-    workload.setup()
-    print(time.perf_counter() - _STARTED)
+    try:
+        workload.setup()
+        elapsed = time.perf_counter() - _STARTED
+    finally:
+        stop_resource_tracker()
+    print(elapsed)
     return 0
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
+    try:
+        return run(parse_args(argv))
+    finally:
+        stop_resource_tracker()
+
+
+def run(args) -> int:
     if not os.path.isfile(os.path.join(SRC, "repro", "__init__.py")):
         print(f"perfbench: no program sources at {SRC}", file=sys.stderr)
         return 2
