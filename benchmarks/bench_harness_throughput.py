@@ -87,6 +87,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -127,15 +128,25 @@ PLAN_SCHEMES = ("ALERT", "Oracle", "OracleStatic", "App-only")
 WORKER_COUNTS = (1, 2, 4)
 
 
+def _window(fn, min_seconds: float) -> tuple[int, float]:
+    """(repetitions, elapsed seconds) of ``fn`` over one timing window.
+
+    ``fn`` runs at least once, so ``min_seconds=0`` times one call.
+    """
+    count = 0
+    start = time.perf_counter()
+    while True:
+        fn()
+        count += 1
+        elapsed = time.perf_counter() - start
+        if elapsed >= min_seconds:
+            return count, elapsed
+
+
 def _repeat(fn, min_seconds: float) -> tuple[int, float]:
     """(repetitions, elapsed seconds) of ``fn`` over at least a window."""
     fn()  # warm-up outside the clock
-    count = 0
-    start = time.perf_counter()
-    while time.perf_counter() - start < min_seconds:
-        fn()
-        count += 1
-    return count, time.perf_counter() - start
+    return _window(fn, min_seconds)
 
 
 def _best_rate(fn, units: int, min_seconds: float, windows: int = 3) -> float:
@@ -147,12 +158,48 @@ def _best_rate(fn, units: int, min_seconds: float, windows: int = 3) -> float:
     return best
 
 
+def _interleaved_ratio(
+    slow, fast, units: int, min_seconds: float, repeats: int
+) -> dict:
+    """Median ``fast``/``slow`` rate ratio over interleaved repeats.
+
+    Each repeat times one window of each mode back to back, so both
+    see the same host-speed drift, and the ratio is taken per repeat;
+    the median of ``repeats`` ratios shrugs off the windows a noisy
+    neighbour hit, where a best-of rate per mode would pair one mode's
+    lucky window with the other's unlucky one.  The spread (min/max
+    per-repeat ratio) is recorded next to the median.
+    """
+    slow()  # warm-up outside the clock
+    fast()
+    ratios, slow_rates, fast_rates = [], [], []
+    for _ in range(repeats):
+        reps, elapsed = _window(slow, min_seconds)
+        slow_rate = reps * units / elapsed
+        reps, elapsed = _window(fast, min_seconds)
+        fast_rate = reps * units / elapsed
+        slow_rates.append(slow_rate)
+        fast_rates.append(fast_rate)
+        ratios.append(fast_rate / slow_rate)
+    return {
+        "slow_rate": statistics.median(slow_rates),
+        "fast_rate": statistics.median(fast_rates),
+        "ratio": statistics.median(ratios),
+        "spread": [round(min(ratios), 2), round(max(ratios), 2)],
+    }
+
+
 def _scenario(seed: int = 20200501):
     return build_scenario("CPU1", "image", "default", "standard", seed=seed)
 
 
-def bench_serving(n_inputs: int, min_seconds: float) -> dict:
-    """Sequential loop vs. batch fast path, per feedback-free scheme."""
+def bench_serving(n_inputs: int, min_seconds: float, repeats: int = 5) -> dict:
+    """Sequential loop vs. batch fast path, per feedback-free scheme.
+
+    The two modes are timed interleaved, ``repeats`` times each, and a
+    scheme's speedup is the median per-repeat ratio (see
+    :func:`_interleaved_ratio`).
+    """
     scenario = _scenario()
     goal = Goal(
         objective=ObjectiveKind.MINIMIZE_ENERGY,
@@ -171,19 +218,22 @@ def bench_serving(n_inputs: int, min_seconds: float) -> dict:
         )
         loop = ServingLoop(engine, stream, scheduler, goal)
 
-        sequential_ips = _best_rate(
-            lambda: loop.run(n_inputs, batch=False), n_inputs, min_seconds
-        )
-        batch_ips = _best_rate(
-            lambda: loop.run(n_inputs, batch=True), n_inputs, min_seconds
+        timed = _interleaved_ratio(
+            lambda: loop.run(n_inputs, batch=False),
+            lambda: loop.run(n_inputs, batch=True),
+            n_inputs,
+            min_seconds,
+            repeats,
         )
         schemes[name] = {
-            "sequential_inputs_per_sec": round(sequential_ips, 1),
-            "batch_inputs_per_sec": round(batch_ips, 1),
-            "speedup": round(batch_ips / sequential_ips, 2),
+            "sequential_inputs_per_sec": round(timed["slow_rate"], 1),
+            "batch_inputs_per_sec": round(timed["fast_rate"], 1),
+            "speedup": round(timed["ratio"], 2),
+            "speedup_spread": timed["spread"],
         }
     return {
         "n_inputs": n_inputs,
+        "repeats": repeats,
         "cpu_count": os.cpu_count(),
         "schemes": schemes,
         "min_speedup": min(entry["speedup"] for entry in schemes.values()),
@@ -218,27 +268,24 @@ def bench_cell_fusion(
         ("feedback_free", FEEDBACK_FREE_SCHEMES),
         ("table4", TABLE4_SCHEMES),
     ):
-        timings = {}
-        for fused in (True, False):
+
+        def cell(fused: bool, schemes=schemes) -> None:
             evaluate_schemes(
                 scenario, goals, schemes, n_inputs=n_inputs, fuse_cells=fused
-            )  # warm-up (grids, profiles, memos)
-            best = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                evaluate_schemes(
-                    scenario, goals, schemes, n_inputs=n_inputs,
-                    fuse_cells=fused,
-                )
-                best = min(best, time.perf_counter() - start)
-            timings[fused] = best
+            )
+
+        timed = _interleaved_ratio(
+            lambda: cell(False), lambda: cell(True),
+            units=len(goals), min_seconds=0.0, repeats=repeats,
+        )
         sections[label] = {
             "schemes": list(schemes),
-            "fused_seconds": round(timings[True], 4),
-            "unfused_seconds": round(timings[False], 4),
-            "fused_cells_per_sec": round(len(goals) / timings[True], 2),
-            "unfused_cells_per_sec": round(len(goals) / timings[False], 2),
-            "speedup": round(timings[False] / timings[True], 2),
+            "fused_seconds": round(len(goals) / timed["fast_rate"], 4),
+            "unfused_seconds": round(len(goals) / timed["slow_rate"], 4),
+            "fused_cells_per_sec": round(timed["fast_rate"], 2),
+            "unfused_cells_per_sec": round(timed["slow_rate"], 2),
+            "speedup": round(timed["ratio"], 2),
+            "speedup_spread": timed["spread"],
         }
     return {
         "n_goals": len(goals),
@@ -263,25 +310,21 @@ def bench_lockstep(
     """Fused+lockstep vs. fused per-goal, full Table 4 zoo cell."""
     scenario = _scenario()
     goals = _table3_goals(scenario, n_deadlines, n_floors)
-    timings = {}
-    telemetry = None
-    for lockstep in (True, False):
+
+    def cell(lockstep: bool) -> None:
+        LOCKSTEP_TELEMETRY.reset()
         evaluate_schemes(
             scenario, goals, TABLE4_SCHEMES, n_inputs=n_inputs,
             fuse_cells=True, lockstep=lockstep,
-        )  # warm-up (grids, profiles, memos)
-        best = float("inf")
-        for _ in range(repeats):
-            LOCKSTEP_TELEMETRY.reset()
-            start = time.perf_counter()
-            evaluate_schemes(
-                scenario, goals, TABLE4_SCHEMES, n_inputs=n_inputs,
-                fuse_cells=True, lockstep=lockstep,
-            )
-            best = min(best, time.perf_counter() - start)
-            if lockstep:
-                telemetry = LOCKSTEP_TELEMETRY.snapshot()
-        timings[lockstep] = best
+        )
+
+    # The lockstep arm runs last in every repeat, so the telemetry
+    # read afterwards is that of a measured lockstep run.
+    timed = _interleaved_ratio(
+        lambda: cell(False), lambda: cell(True),
+        units=len(goals), min_seconds=0.0, repeats=repeats,
+    )
+    telemetry = LOCKSTEP_TELEMETRY.snapshot()
     return {
         "n_goals": len(goals),
         "n_deadlines": n_deadlines,
@@ -289,11 +332,12 @@ def bench_lockstep(
         "n_inputs": n_inputs,
         "cpu_count": os.cpu_count(),
         "schemes": list(TABLE4_SCHEMES),
-        "lockstep_seconds": round(timings[True], 4),
-        "per_goal_seconds": round(timings[False], 4),
-        "lockstep_cells_per_sec": round(len(goals) / timings[True], 2),
-        "per_goal_cells_per_sec": round(len(goals) / timings[False], 2),
-        "speedup": round(timings[False] / timings[True], 2),
+        "lockstep_seconds": round(len(goals) / timed["fast_rate"], 4),
+        "per_goal_seconds": round(len(goals) / timed["slow_rate"], 4),
+        "lockstep_cells_per_sec": round(timed["fast_rate"], 2),
+        "per_goal_cells_per_sec": round(timed["slow_rate"], 2),
+        "speedup": round(timed["ratio"], 2),
+        "speedup_spread": timed["spread"],
         "decision_path": telemetry,
         "note": (
             "lockstep = evaluate_schemes(fuse_cells=True, lockstep=True): "
@@ -433,15 +477,12 @@ def bench_serving_frontend(
     # Batching only amortises when the queue is deep: overload one
     # replica fourfold so dispatches drain whole batches.
     burst_hz = 4.0 / anchor
-    unbatched_rps = _best_rate(
+    batching = _interleaved_ratio(
         lambda: fleet_once(1, "round-robin", rate_hz=burst_hz),
-        n_requests,
-        min_seconds,
-    )
-    batched_rps = _best_rate(
         lambda: fleet_once(1, "round-robin", rate_hz=burst_hz, batch_size=8),
         n_requests,
         min_seconds,
+        repeats=5,
     )
     return {
         "n_requests": n_requests,
@@ -453,9 +494,10 @@ def bench_serving_frontend(
         "fleet_requests_per_sec": policies,
         "batching": {
             "batch_size": 8,
-            "unbatched_requests_per_sec": round(unbatched_rps, 1),
-            "batched_requests_per_sec": round(batched_rps, 1),
-            "speedup": round(batched_rps / unbatched_rps, 2),
+            "unbatched_requests_per_sec": round(batching["slow_rate"], 1),
+            "batched_requests_per_sec": round(batching["fast_rate"], 1),
+            "speedup": round(batching["ratio"], 2),
+            "speedup_spread": batching["spread"],
         },
         "note": (
             "relative_throughput = one-replica fleet rps / sequential "
@@ -803,16 +845,18 @@ def quick_metrics(min_seconds: float = 0.1) -> dict:
     not.
     """
     return {
-        "serving": bench_serving(n_inputs=120, min_seconds=min_seconds),
+        # The committed run's input count: at 120 inputs fixed per-run
+        # overhead weighs on the batch path and depresses the ratio.
+        "serving": bench_serving(n_inputs=240, min_seconds=min_seconds),
         "cell_fusion": bench_cell_fusion(
-            n_deadlines=3, n_floors=5, n_inputs=120, repeats=3
+            n_deadlines=3, n_floors=5, n_inputs=120, repeats=5
         ),
         # Also carries the decision-path health counters (stacked
         # batch sizes, memo hits) of the measured lockstep run, so the
         # smoke/CI artifact shows per-run scheduler health alongside
         # the gated ratio.
         "lockstep": bench_lockstep(
-            n_deadlines=3, n_floors=5, n_inputs=120, repeats=3
+            n_deadlines=3, n_floors=5, n_inputs=120, repeats=5
         ),
         # The full-zoo cross-scheme ratio plus its decision-path
         # telemetry (cross_cells/cross_lanes/sequential_inputs), so
@@ -846,7 +890,7 @@ def quick_metrics(min_seconds: float = 0.1) -> dict:
 
 def smoke() -> None:
     """Seconds-scale end-to-end exercise of every bench path (for CI)."""
-    serving = bench_serving(n_inputs=20, min_seconds=0.05)
+    serving = bench_serving(n_inputs=20, min_seconds=0.05, repeats=1)
     assert set(serving["schemes"]) == set(FEEDBACK_FREE_SCHEMES)
     fusion = bench_cell_fusion(
         n_deadlines=1, n_floors=2, n_inputs=10, repeats=1

@@ -59,7 +59,6 @@ hatches for measuring or debugging the isolated paths).
 from __future__ import annotations
 
 import argparse
-import warnings
 
 from repro import experiments
 from repro._version import __version__
@@ -72,9 +71,8 @@ from repro.serve import (
     BUDGET_KINDS,
     POLICY_KINDS,
     FleetConfig,
-    FleetFrontend,
+    build_fleet,
 )
-from repro.serve import build_fleet as _assemble_fleet
 from repro.serve.fleet import CLOCK_KINDS
 from repro.workloads.scenarios import build_scenario
 from repro.workloads.traces import ARRIVAL_KINDS
@@ -457,56 +455,6 @@ def _run_serve(args: argparse.Namespace) -> str:
     return f"{goal.describe()}\n{result.describe()}"
 
 
-def build_fleet(
-    *,
-    platform: str = "CPU1",
-    task: str = "image",
-    env: str = "memory",
-    replicas: int = 4,
-    arrivals: str = "poisson",
-    rate_hz: float | None = None,
-    policy: str = "cost-aware",
-    power_budget_w: float | None = None,
-    queue_capacity: int | None = 64,
-    deadline_factor: float = 1.25,
-    accuracy_min: float = 0.90,
-    seed: int = 20200417,
-    arrival_seed: int = 7,
-    trace=None,
-) -> FleetFrontend:
-    """Deprecated kwarg shim over :func:`repro.serve.build_fleet`.
-
-    Fleet assembly moved behind :class:`repro.serve.FleetConfig`; this
-    wrapper only survives so callers migrating from the old CLI helper
-    get a pointer instead of an ImportError.  It builds exactly the
-    fleet the equivalent config would.
-    """
-    warnings.warn(
-        "repro.cli.build_fleet is deprecated; build a "
-        "repro.serve.FleetConfig and pass it to repro.serve.build_fleet",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _assemble_fleet(
-        FleetConfig(
-            platform=platform,
-            task=task,
-            env=env,
-            replicas=replicas,
-            arrivals=arrivals,
-            rate_hz=rate_hz,
-            policy=policy,
-            power_budget_w=power_budget_w,
-            queue_capacity=queue_capacity,
-            deadline_factor=deadline_factor,
-            accuracy_min=accuracy_min,
-            seed=seed,
-            arrival_seed=arrival_seed,
-            trace=trace,
-        )
-    )
-
-
 def _fleet_config(args: argparse.Namespace) -> FleetConfig:
     """Map the ``repro fleet`` argument namespace onto a FleetConfig."""
     return FleetConfig(
@@ -536,7 +484,7 @@ def _run_fleet(args: argparse.Namespace) -> str:
     if args.smoke:
         args.replicas = 2
         args.duration = 20.0
-    fleet = _assemble_fleet(_fleet_config(args))
+    fleet = build_fleet(_fleet_config(args))
     summary = fleet.serve(args.duration)
     if args.smoke and summary["served"] == 0:
         raise SimulationError("fleet smoke run served no requests")

@@ -28,6 +28,7 @@ lets converged Kalman phases skip re-estimation entirely.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,18 +179,47 @@ class AlertController:
             profile.inference_power_w.values()
         )
         mean_latency = sum(profile.latency_s.values()) / len(profile.latency_s)
-        self.kernel = AlertKernel(
-            selector=ConfigSelector(self.space, self.estimator),
-            profile=profile,
-            slowdown=GlobalSlowdownEstimator(
-                q0=q0, keep_history=keep_xi_history
-            ),
-            idle_filter=IdlePowerFilter(phi0=idle_ratio),
+        self._belief_params = dict(
+            q0=q0,
+            keep_xi_history=keep_xi_history,
+            phi0=idle_ratio,
             overhead_s=overhead_fraction * mean_latency,
             decision_memo=decision_memo,
             memo_decimals=memo_decimals,
+        )
+        self.kernel = self._fresh_kernel(
+            ConfigSelector(self.space, self.estimator)
+        )
+
+    def _fresh_kernel(self, selector: ConfigSelector) -> AlertKernel:
+        """A kernel over ``selector`` with never-observed filters."""
+        p = self._belief_params
+        return AlertKernel(
+            selector=selector,
+            profile=self.profile,
+            slowdown=GlobalSlowdownEstimator(
+                q0=p["q0"], keep_history=p["keep_xi_history"]
+            ),
+            idle_filter=IdlePowerFilter(phi0=p["phi0"]),
+            overhead_s=p["overhead_s"],
+            decision_memo=p["decision_memo"],
+            memo_decimals=p["memo_decimals"],
             memo_cap=DEFAULT_MEMO_CAP,
         )
+
+    def twin(self) -> "AlertController":
+        """A fresh controller sharing this one's candidate machinery.
+
+        The twin decides exactly like a newly constructed controller
+        with the same arguments: its ξ/idle-power filters and decision
+        memo start cold and are its own.  What it shares is immutable
+        or a pure-function cache — the candidate space, the estimators
+        and the selector with its per-space precompute — so a fleet
+        pays for that precompute once, not once per replica.
+        """
+        twin = copy.copy(self)
+        twin.kernel = self._fresh_kernel(self.kernel.selector)
+        return twin
 
     # ------------------------------------------------------------------
     # Step 1: measurement feedback

@@ -94,10 +94,15 @@ class AdaptiveKalmanFilter:
         self._updates = 0
 
     def update(self, measurement: float) -> None:
-        """Fold in one observed slowdown ratio."""
-        if measurement <= 0:
+        """Fold in one observed slowdown ratio.
+
+        Rejects (and leaves the state untouched on) anything but a
+        positive finite ratio: one NaN or inf would poison ξ for good.
+        """
+        if not 0.0 < measurement < math.inf:
             raise ConfigurationError(
-                f"slowdown measurements must be positive, got {measurement}"
+                "slowdown measurements must be positive and finite, "
+                f"got {measurement}"
             )
         innovation = measurement - self.mu
         # Squared via explicit multiplication (not ``** 2``) so the
@@ -174,13 +179,14 @@ class IdlePowerFilter:
 
     def update(self, idle_power_w: float, inference_power_w: float) -> None:
         """Fold in one observed idle-period power sample."""
-        if idle_power_w < 0:
+        if not 0.0 <= idle_power_w < math.inf:
             raise ConfigurationError(
-                f"idle power must be >= 0, got {idle_power_w}"
+                f"idle power must be finite and >= 0, got {idle_power_w}"
             )
-        if inference_power_w <= 0:
+        if not 0.0 < inference_power_w < math.inf:
             raise ConfigurationError(
-                f"inference power must be positive, got {inference_power_w}"
+                "inference power must be positive and finite, "
+                f"got {inference_power_w}"
             )
         prior = self.variance + self.process_noise
         gain = prior / (prior + self.measurement_noise)
@@ -258,10 +264,12 @@ class StackedKalmanFilter:
             raise ConfigurationError(
                 f"expected {self.n} measurements, got shape {measurements.shape}"
             )
-        if np.any(measurements <= 0):
+        # min/max propagate NaN, so one pair of reductions rejects
+        # non-positive, NaN and inf entries alike.
+        if not (measurements.min() > 0 and measurements.max() < np.inf):
             raise ConfigurationError(
-                "slowdown measurements must be positive, got "
-                f"{measurements.min()}"
+                "slowdown measurements must be positive and finite, got "
+                f"{measurements}"
             )
         innovation = measurements - self.mu
         weighted = self.gain * self._last_innovation
@@ -337,10 +345,11 @@ class StackedIdlePowerFilter:
             return
         idle = np.asarray(idle_power_w, dtype=np.float64)
         inference = np.asarray(inference_power_w, dtype=np.float64)
-        if np.any(idle[mask] < 0):
-            raise ConfigurationError("idle power must be >= 0")
-        if np.any(inference <= 0):
-            raise ConfigurationError("inference power must be positive")
+        sampled = idle[mask]
+        if not (sampled.min() >= 0 and sampled.max() < np.inf):
+            raise ConfigurationError("idle power must be finite and >= 0")
+        if not (inference.min() > 0 and inference.max() < np.inf):
+            raise ConfigurationError("inference power must be positive and finite")
         prior = self.variance + self.process_noise
         gain = prior / (prior + self.measurement_noise)
         ratio = idle / inference

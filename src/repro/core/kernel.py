@@ -157,7 +157,27 @@ def evict_oldest_half(memo: dict) -> None:
         del memo[key]
 
 
-class AlertKernel:
+class _OverheadReserve:
+    """The ``overhead_s`` attribute of a kernel that caches on it.
+
+    Both ALERT kernels cache overhead-adjusted goals, and memo entries
+    keyed on them; assigning a new reservation flushes those caches
+    (``_flush_goal_caches``), so no decision made under the old
+    reservation is ever returned again.
+    """
+
+    @property
+    def overhead_s(self) -> float:
+        """Worst-case decision overhead reserved from every deadline."""
+        return self._overhead_s
+
+    @overhead_s.setter
+    def overhead_s(self, value: float) -> None:
+        self._overhead_s = value
+        self._flush_goal_caches()
+
+
+class AlertKernel(_OverheadReserve):
     """ALERT's belief state and estimate/select step, clock-free.
 
     Owns the global-slowdown ξ filter, the idle-power filter, and the
@@ -188,7 +208,6 @@ class AlertKernel:
         self.profile = profile
         self.slowdown = slowdown
         self.idle_filter = idle_filter
-        self.overhead_s = overhead_s
         self.memo: dict[tuple, SelectionResult] | None = (
             {} if decision_memo else None
         )
@@ -197,6 +216,21 @@ class AlertKernel:
         self.memo_hits = 0
         self.memo_misses = 0
         self.last_selection: SelectionResult | None = None
+        # Overhead-adjusted goals, interned per goal value: equal goals
+        # resolve to one adjusted object, whose id then stands in for
+        # the goal in memo keys, so a decide hashes its goal once.
+        self._effective: dict[Goal, Goal] = {}
+        self.overhead_s = overhead_s
+
+    def _flush_goal_caches(self) -> None:
+        """Drop the adjusted goals *and* the memo keyed on their ids.
+
+        Un-pinning an adjusted goal lets its id be recycled, so a
+        stale id-keyed memo entry could otherwise match a new goal.
+        """
+        self._effective.clear()
+        if self.memo is not None:
+            self.memo.clear()
 
     # ------------------------------------------------------------------
     # Step 1: measurement feedback
@@ -224,10 +258,15 @@ class AlertKernel:
         the kernel additionally reserves its own worst-case overhead
         from the deadline.
         """
-        effective = goal
-        adjusted_deadline = max(1e-6, goal.deadline_s - self.overhead_s)
-        if adjusted_deadline != goal.deadline_s:
-            effective = goal.with_deadline(adjusted_deadline)
+        effective = self._effective.get(goal)
+        if effective is None:
+            effective = goal
+            adjusted = max(1e-6, goal.deadline_s - self._overhead_s)
+            if adjusted != goal.deadline_s:
+                effective = goal.with_deadline(adjusted)
+            if self.memo is None and len(self._effective) >= 4096:
+                self._effective.clear()
+            self._effective[goal] = effective
         xi_mean, xi_sigma = self.slowdown.snapshot()
         phi = self.idle_filter.phi
         tail = (self.slowdown.tail_fraction, self.slowdown.tail_ratio)
@@ -236,7 +275,7 @@ class AlertKernel:
         if self.memo is not None:
             nd = self.memo_decimals
             key = (
-                goal,
+                id(effective),
                 round(xi_mean, nd),
                 round(xi_sigma, nd),
                 round(phi, nd),
@@ -256,12 +295,25 @@ class AlertKernel:
             self.memo_misses += 1
             if len(self.memo) >= self.memo_cap:
                 evict_oldest_half(self.memo)
+                self._prune_effective(keep=effective)
             self.memo[key] = result
         self.last_selection = result
         return result
 
+    def _prune_effective(self, keep: Goal) -> None:
+        """Forget the adjusted goals no surviving memo key uses.
 
-class AlertCellKernel:
+        Bounds the interning table by the memo without un-pinning an
+        id a memo key still holds (``keep`` is about to be inserted).
+        """
+        live = {key[0] for key in self.memo}
+        live.add(id(keep))
+        self._effective = {
+            g: e for g, e in self._effective.items() if id(e) in live
+        }
+
+
+class AlertCellKernel(_OverheadReserve):
     """Stacked ALERT belief states for a lockstep cell, clock-free.
 
     One ξ/idle-power/tail state per goal, advanced together: one
@@ -298,7 +350,6 @@ class AlertCellKernel:
         self.selector = selector
         self.profile = profile
         self.n_goals = n_goals
-        self.overhead_s = overhead_s
         self.slowdown = StackedSlowdownEstimator(
             n_goals,
             q0=q0,
@@ -328,6 +379,7 @@ class AlertCellKernel:
         # times per input.  One id-tuple lookup replaces all of it;
         # the entry pins its goals, keeping the ids stable.
         self._adjusted_lists: dict[tuple, tuple[list, list]] = {}
+        self.overhead_s = overhead_s
 
     # ------------------------------------------------------------------
     # Step 1: measurement feedback, all goals at once
@@ -397,7 +449,7 @@ class AlertCellKernel:
                 effective = self._effective.get(goal)
                 if effective is None:
                     effective = goal
-                    adjusted = max(1e-6, goal.deadline_s - self.overhead_s)
+                    adjusted = max(1e-6, goal.deadline_s - self._overhead_s)
                     if adjusted != goal.deadline_s:
                         effective = goal.with_deadline(adjusted)
                     if len(self._effective) >= 4096:

@@ -16,6 +16,8 @@ consume.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.kalman import AdaptiveKalmanFilter, StackedKalmanFilter
@@ -88,9 +90,15 @@ class GlobalSlowdownEstimator:
         rung completion is timestamped, so this is observable in a real
         deployment too.
         """
-        if measured_latency_s <= 0 or profiled_latency_s <= 0:
+        # Checked before any state moves: a NaN or inf (or a ratio
+        # that overflows) must not reach the tail model or ξ.
+        if not (
+            0.0 < measured_latency_s < math.inf
+            and 0.0 < profiled_latency_s < math.inf
+            and measured_latency_s / profiled_latency_s < math.inf
+        ):
             raise ConfigurationError(
-                "latencies must be positive "
+                "latencies must be positive and finite "
                 f"(measured={measured_latency_s}, profiled={profiled_latency_s})"
             )
         ratio = measured_latency_s / profiled_latency_s
@@ -211,9 +219,18 @@ class StackedSlowdownEstimator:
         """
         measured = np.asarray(measured_latency_s, dtype=np.float64)
         profiled = np.asarray(profiled_latency_s, dtype=np.float64)
-        if np.any(measured <= 0) or np.any(profiled <= 0):
-            raise ConfigurationError("latencies must be positive")
-        ratio = measured / profiled
+        with np.errstate(all="ignore"):
+            ratio = measured / profiled
+        # NaN fails every comparison, so it is rejected with inf.
+        valid = (
+            (measured > 0)
+            & (profiled > 0)
+            & (measured < np.inf)
+            & (profiled < np.inf)
+            & (ratio < np.inf)
+        )
+        if not valid.all():
+            raise ConfigurationError("latencies must be positive and finite")
         threshold = self._filter.mu + self._tail_threshold * np.maximum(
             self._filter.sigma, self._min_sigma
         )

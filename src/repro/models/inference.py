@@ -586,6 +586,23 @@ class InferenceEngine:
         # cannot grow the cache without limit.
         self._config_tables: dict[int, tuple[tuple, _ConfigTable]] = {}
 
+    def twin(self) -> "InferenceEngine":
+        """A seeded twin that reads this engine's environment realisation.
+
+        The twin faces exactly the environment a fresh engine from the
+        same scenario seeds would draw — the same
+        :class:`EnvironmentDraw` for every input index — but the draws
+        are realised once, into one list both engines read and extend,
+        instead of once per engine.  Only the environment is shared:
+        the twin gets its own default actuator (and with it its own
+        RAPL counters) and its own batch-table cache.
+        """
+        twin = InferenceEngine(
+            self.machine, self.contention, self._noise_rng, dvfs=self.dvfs
+        )
+        twin._environment = self._environment
+        return twin
+
     # ------------------------------------------------------------------
     # Environment realisation (shared across configurations)
     # ------------------------------------------------------------------

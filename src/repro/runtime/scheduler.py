@@ -102,6 +102,12 @@ class AlertScheduler:
         """The controller's filter state (for traces)."""
         return self.controller.state()
 
+    def twin(self) -> "AlertScheduler":
+        """A fresh scheduler over :meth:`AlertController.twin`."""
+        return AlertScheduler(
+            self.controller.twin(), name=self.name, grid_view=self.grid_view
+        )
+
     @staticmethod
     def stack_into_cell(schedulers):
         """Lockstep hook: stack per-goal runs into one cell controller.

@@ -14,11 +14,18 @@ by its registry kind (``make_arrivals`` / ``make_policy`` /
 into a ready-to-run front-end.  Same config ⇒ same fleet ⇒ (on virtual
 time) bit-identical runs.
 
-Replica determinism: every lane is an identical twin — its own engine
-realisation and its own controller, drawn from the same scenario seed
-— and the front-end's ``replica_factory`` (installed here) builds
-further twins on demand, so an autoscaled fleet stays exactly as
-reproducible as a static one.
+Replica determinism: every lane is an identical twin drawn from the
+same scenario seed — its own actuator, RAPL counters, filters and
+decision memo — and the front-end's ``replica_factory`` (installed
+here) builds further twins on demand, so an autoscaled fleet stays
+exactly as reproducible as a static one.  What twins have in common is
+built once per fleet and shared: the environment realisation (every
+twin would draw the same :class:`~repro.models.inference.EnvironmentDraw`
+for every input index, see
+:meth:`~repro.models.inference.InferenceEngine.twin`) and the
+selector's per-space precompute
+(:meth:`~repro.core.controller.AlertController.twin`).  A fleet of
+independently built twins gives bit-identical results.
 """
 
 from __future__ import annotations
@@ -151,12 +158,17 @@ def build_fleet(config: FleetConfig) -> FleetFrontend:
     if rate_hz is None:
         rate_hz = 0.7 * config.replicas / scenario.anchor_latency_s()
     phases = list(config.phases) if config.phases else None
+    # Every replica is a seeded twin of these two templates: one
+    # environment realisation and one selector precompute serve the
+    # whole fleet, scale-ups included (see the module docstring).
+    engine = scenario.make_engine(phases)
+    scheduler = make_alert(scenario.profile())
 
     def replica_factory(replica_id: int) -> Replica:
         return Replica(
             replica_id=replica_id,
-            engine=scenario.make_engine(phases),
-            scheduler=make_alert(scenario.profile()),
+            engine=engine.twin(),
+            scheduler=scheduler.twin(),
             clock=None,
             metrics=None,
             batch_size=config.batch_size,

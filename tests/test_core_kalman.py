@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kalman import AdaptiveKalmanFilter, IdlePowerFilter
+from repro.core.kalman import (
+    AdaptiveKalmanFilter,
+    IdlePowerFilter,
+    StackedIdlePowerFilter,
+    StackedKalmanFilter,
+)
+from repro.core.slowdown import GlobalSlowdownEstimator, StackedSlowdownEstimator
 from repro.errors import ConfigurationError
 
 
@@ -128,3 +136,86 @@ def test_idle_filter_rejects_invalid():
         filt.update(1.0, 0.0)
     with pytest.raises(ConfigurationError):
         filt.idle_power(0.0)
+
+
+# ----------------------------------------------------------------------
+# Non-finite measurements: rejected loudly, state left untouched
+# ----------------------------------------------------------------------
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def _warm_filters():
+    """One of every filter, each with a few valid samples folded in."""
+    kalman = AdaptiveKalmanFilter()
+    idle = IdlePowerFilter()
+    slowdown = GlobalSlowdownEstimator()
+    stacked = StackedKalmanFilter(3)
+    stacked_idle = StackedIdlePowerFilter(np.full(3, 0.2))
+    stacked_slowdown = StackedSlowdownEstimator(3)
+    for ratio in (1.1, 0.9, 1.4):
+        kalman.update(ratio)
+        idle.update(10.0 * ratio, 40.0)
+        slowdown.observe(ratio, 1.0)
+        stacked.update(np.full(3, ratio))
+        stacked_idle.update_where(
+            np.array([True, False, True]), np.full(3, 10.0 * ratio), np.full(3, 40.0)
+        )
+        stacked_slowdown.observe(np.full(3, ratio), np.ones(3))
+    return kalman, idle, slowdown, stacked, stacked_idle, stacked_slowdown
+
+
+def _rejects_unchanged(target, update) -> None:
+    before = pickle.dumps(target)
+    with pytest.raises(ConfigurationError, match="finite"):
+        update()
+    assert pickle.dumps(target) == before
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_scalar_filters_reject_non_finite_and_keep_state(bad):
+    kalman, idle, slowdown, *_ = _warm_filters()
+    _rejects_unchanged(kalman, lambda: kalman.update(bad))
+    _rejects_unchanged(idle, lambda: idle.update(bad, 40.0))
+    _rejects_unchanged(idle, lambda: idle.update(10.0, bad))
+    _rejects_unchanged(slowdown, lambda: slowdown.observe(bad, 1.0))
+    _rejects_unchanged(slowdown, lambda: slowdown.observe(1.0, bad))
+    assert np.isfinite(slowdown.mean) and np.isfinite(slowdown.sigma)
+
+
+def test_slowdown_rejects_overflowing_ratio():
+    slowdown = GlobalSlowdownEstimator()
+    _rejects_unchanged(slowdown, lambda: slowdown.observe(1e308, 1e-300))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_stacked_filters_reject_non_finite_and_keep_state(bad):
+    *_, stacked, stacked_idle, stacked_slowdown = _warm_filters()
+    one_bad = np.array([1.0, bad, 1.2])
+    _rejects_unchanged(stacked, lambda: stacked.update(one_bad))
+    mask = np.array([True, True, False])
+    _rejects_unchanged(
+        stacked_idle,
+        lambda: stacked_idle.update_where(mask, one_bad, np.full(3, 40.0)),
+    )
+    _rejects_unchanged(
+        stacked_idle,
+        lambda: stacked_idle.update_where(mask, np.full(3, 10.0), one_bad),
+    )
+    _rejects_unchanged(
+        stacked_slowdown, lambda: stacked_slowdown.observe(one_bad, np.ones(3))
+    )
+    _rejects_unchanged(
+        stacked_slowdown, lambda: stacked_slowdown.observe(np.ones(3), one_bad)
+    )
+
+
+def test_stacked_idle_filter_ignores_masked_out_placeholders():
+    *_, stacked_idle, _ = _warm_filters()
+    # Entries outside the mask carry no sample; only sampled ones are
+    # checked.
+    stacked_idle.update_where(
+        np.array([True, False, True]),
+        np.array([10.0, np.nan, 12.0]),
+        np.full(3, 40.0),
+    )
+    assert np.isfinite(stacked_idle.phi).all()

@@ -253,6 +253,73 @@ def test_memo_hits_survive_cap_crossing(cpu1_profile):
     assert controller.memo_stats == (4, 12)
 
 
+def _min_energy_goal(deadline_s: float) -> Goal:
+    return Goal(
+        objective=ObjectiveKind.MINIMIZE_ENERGY,
+        deadline_s=deadline_s,
+        accuracy_min=0.9,
+    )
+
+
+def test_memo_shares_entries_between_equal_goal_objects(cpu1_profile):
+    controller = AlertController(cpu1_profile)
+    first = controller.decide(_min_energy_goal(0.4))
+    # A distinct but equal Goal reaches the same memo entry.
+    assert controller.decide(_min_energy_goal(0.4)) is first
+    assert controller.memo_stats == (1, 1)
+
+
+def test_goal_interning_stays_bounded_by_the_memo(cpu1_profile):
+    controller = AlertController(cpu1_profile)
+    controller._MEMO_CAP = 8
+    for i in range(100):
+        controller.decide(_min_energy_goal(0.4 + i * 1e-3))
+    assert len(controller.kernel._effective) <= 8
+    # The newest goals still hit, through fresh equal Goal objects.
+    hits, _ = controller.memo_stats
+    for i in range(96, 100):
+        controller.decide(_min_energy_goal(0.4 + i * 1e-3))
+    assert controller.memo_stats[0] == hits + 4
+
+
+def test_overhead_change_never_returns_stale_decisions(cpu1_profile):
+    """Reassigning the overhead reservation drops every cached decision."""
+    goal = _min_energy_goal(0.3)
+    controller = AlertController(cpu1_profile)
+    controller.decide(goal)
+    overhead = 0.5 * goal.deadline_s
+    controller.kernel.overhead_s = overhead
+    result = controller.decide(goal)
+    assert controller.memo_stats == (0, 2)
+    fresh = AlertController(cpu1_profile)
+    fresh.kernel.overhead_s = overhead
+    assert result == fresh.decide(goal)
+    assert result != AlertController(cpu1_profile).decide(goal)
+
+
+def test_controller_twin_decides_like_a_fresh_controller(cpu1_profile):
+    template = AlertController(cpu1_profile)
+    warm = template.decide(_min_energy_goal(0.4)).config
+    template.observe(warm.model.name, warm.power_w, 0.5)
+    twin = template.twin()
+    fresh = AlertController(cpu1_profile)
+    # Shared precompute, private belief state.
+    assert twin.selector is template.selector
+    assert twin.slowdown is not template.slowdown
+    assert twin.state() == fresh.state()
+    assert twin.memo_stats == (0, 0)
+    for i, slowdown in enumerate((1.0, 1.3, 1.7, 1.1)):
+        goal = _min_energy_goal(0.3 + 0.05 * i)
+        chosen = twin.decide(goal)
+        assert chosen == fresh.decide(goal)
+        t_prof = cpu1_profile.latency(chosen.config.model.name, chosen.config.power_w)
+        for controller in (twin, fresh):
+            controller.observe(
+                chosen.config.model.name, chosen.config.power_w, slowdown * t_prof
+            )
+    assert twin.state() == fresh.state()
+
+
 # ----------------------------------------------------------------------
 # Goal adjustment
 # ----------------------------------------------------------------------

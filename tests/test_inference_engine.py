@@ -11,6 +11,7 @@ from repro.hw.machine import CPU1
 from repro.hw.powercap import PowerActuator
 from repro.models.families import depth_nest_anytime, sparse_resnet_family
 from repro.models.inference import InferenceEngine
+from repro.workloads.scenarios import build_scenario
 
 
 @pytest.fixture()
@@ -178,3 +179,30 @@ def test_run_effective_cap_noop_for_exact_actuators(quiet_engine, dense):
     assert outcome.latency_s == quiet_engine.evaluate(
         dense, 32.5, 2, deadline_s=0.5
     ).latency_s
+
+
+def test_twin_reads_one_shared_environment_realisation(dense):
+    scenario = build_scenario("CPU1", "image", "memory", seed=11)
+    engine = scenario.make_engine()
+    twin = engine.twin()
+    independent = scenario.make_engine()
+    # Whichever twin draws first, both see what a fresh engine from the
+    # same seeds draws, and each index is realised once.
+    assert twin.environment(40) == independent.environment(40)
+    assert engine.environment(70) == independent.environment(70)
+    assert len(engine._environment) == len(twin._environment) == 71
+    assert [engine.environment(i) for i in range(71)] == [
+        independent.environment(i) for i in range(71)
+    ]
+
+
+def test_twin_keeps_its_own_actuator_and_energy_counters(dense):
+    engine = build_scenario("CPU1", "image", "memory", seed=11).make_engine()
+    twin = engine.twin()
+    assert twin.actuator is not engine.actuator
+    before = engine.actuator.package.read_energy_uj()
+    outcome = twin.run(dense, 30.0, 0, deadline_s=0.5)
+    assert outcome.energy.total_j > 0
+    assert engine.actuator.package.read_energy_uj() == before
+    assert engine.actuator.set_power_cap(45.0) == 45.0
+    assert twin.run(dense, 30.0, 0, deadline_s=0.5).effective_cap_w == 30.0
