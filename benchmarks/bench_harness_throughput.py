@@ -87,11 +87,12 @@ import dataclasses
 import json
 import multiprocessing
 import os
-import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+from _timing import interleaved_ratio, window
 
 from repro.baselines import make_alert
 from repro.core.goals import Goal, ObjectiveKind
@@ -128,25 +129,10 @@ PLAN_SCHEMES = ("ALERT", "Oracle", "OracleStatic", "App-only")
 WORKER_COUNTS = (1, 2, 4)
 
 
-def _window(fn, min_seconds: float) -> tuple[int, float]:
-    """(repetitions, elapsed seconds) of ``fn`` over one timing window.
-
-    ``fn`` runs at least once, so ``min_seconds=0`` times one call.
-    """
-    count = 0
-    start = time.perf_counter()
-    while True:
-        fn()
-        count += 1
-        elapsed = time.perf_counter() - start
-        if elapsed >= min_seconds:
-            return count, elapsed
-
-
 def _repeat(fn, min_seconds: float) -> tuple[int, float]:
     """(repetitions, elapsed seconds) of ``fn`` over at least a window."""
     fn()  # warm-up outside the clock
-    return _window(fn, min_seconds)
+    return window(fn, min_seconds)
 
 
 def _best_rate(fn, units: int, min_seconds: float, windows: int = 3) -> float:
@@ -158,37 +144,6 @@ def _best_rate(fn, units: int, min_seconds: float, windows: int = 3) -> float:
     return best
 
 
-def _interleaved_ratio(
-    slow, fast, units: int, min_seconds: float, repeats: int
-) -> dict:
-    """Median ``fast``/``slow`` rate ratio over interleaved repeats.
-
-    Each repeat times one window of each mode back to back, so both
-    see the same host-speed drift, and the ratio is taken per repeat;
-    the median of ``repeats`` ratios shrugs off the windows a noisy
-    neighbour hit, where a best-of rate per mode would pair one mode's
-    lucky window with the other's unlucky one.  The spread (min/max
-    per-repeat ratio) is recorded next to the median.
-    """
-    slow()  # warm-up outside the clock
-    fast()
-    ratios, slow_rates, fast_rates = [], [], []
-    for _ in range(repeats):
-        reps, elapsed = _window(slow, min_seconds)
-        slow_rate = reps * units / elapsed
-        reps, elapsed = _window(fast, min_seconds)
-        fast_rate = reps * units / elapsed
-        slow_rates.append(slow_rate)
-        fast_rates.append(fast_rate)
-        ratios.append(fast_rate / slow_rate)
-    return {
-        "slow_rate": statistics.median(slow_rates),
-        "fast_rate": statistics.median(fast_rates),
-        "ratio": statistics.median(ratios),
-        "spread": [round(min(ratios), 2), round(max(ratios), 2)],
-    }
-
-
 def _scenario(seed: int = 20200501):
     return build_scenario("CPU1", "image", "default", "standard", seed=seed)
 
@@ -198,7 +153,7 @@ def bench_serving(n_inputs: int, min_seconds: float, repeats: int = 5) -> dict:
 
     The two modes are timed interleaved, ``repeats`` times each, and a
     scheme's speedup is the median per-repeat ratio (see
-    :func:`_interleaved_ratio`).
+    :func:`_timing.interleaved_ratio`).
     """
     scenario = _scenario()
     goal = Goal(
@@ -218,7 +173,7 @@ def bench_serving(n_inputs: int, min_seconds: float, repeats: int = 5) -> dict:
         )
         loop = ServingLoop(engine, stream, scheduler, goal)
 
-        timed = _interleaved_ratio(
+        timed = interleaved_ratio(
             lambda: loop.run(n_inputs, batch=False),
             lambda: loop.run(n_inputs, batch=True),
             n_inputs,
@@ -274,7 +229,7 @@ def bench_cell_fusion(
                 scenario, goals, schemes, n_inputs=n_inputs, fuse_cells=fused
             )
 
-        timed = _interleaved_ratio(
+        timed = interleaved_ratio(
             lambda: cell(False), lambda: cell(True),
             units=len(goals), min_seconds=0.0, repeats=repeats,
         )
@@ -320,7 +275,7 @@ def bench_lockstep(
 
     # The lockstep arm runs last in every repeat, so the telemetry
     # read afterwards is that of a measured lockstep run.
-    timed = _interleaved_ratio(
+    timed = interleaved_ratio(
         lambda: cell(False), lambda: cell(True),
         units=len(goals), min_seconds=0.0, repeats=repeats,
     )
@@ -477,7 +432,7 @@ def bench_serving_frontend(
     # Batching only amortises when the queue is deep: overload one
     # replica fourfold so dispatches drain whole batches.
     burst_hz = 4.0 / anchor
-    batching = _interleaved_ratio(
+    batching = interleaved_ratio(
         lambda: fleet_once(1, "round-robin", rate_hz=burst_hz),
         lambda: fleet_once(1, "round-robin", rate_hz=burst_hz, batch_size=8),
         n_requests,

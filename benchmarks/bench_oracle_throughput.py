@@ -23,6 +23,12 @@ reuses :func:`run` with a short window to compare the measured
 speedup ratios against the committed baseline (ratios are
 machine-relative, so they transfer across runner hardware).
 
+Each ratio times its scalar and batch arms in alternating windows,
+``repeats`` times, and reports the median of the per-repeat ratios
+with their min/max as ``*_spread`` — host-speed drift hits both arms
+of a repeat alike, where timing each arm in its own block let it pass
+for a regression.
+
 The file is named ``bench_*`` on purpose: the tier-1 pytest run only
 collects ``test_*`` files, so this never slows the test gate.
 """
@@ -31,8 +37,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import time
+import statistics
 from pathlib import Path
+
+from _timing import interleaved_ratio, spread
 
 from repro.baselines.oracle import OracleScheduler, best_static_config
 from repro.core.config_space import ConfigurationSpace
@@ -46,18 +54,7 @@ OUTPUT = REPO_ROOT / "BENCH_oracle.json"
 N_INPUTS = 90
 
 
-def _repeat(fn, min_seconds: float) -> tuple[int, float]:
-    """(repetitions, elapsed seconds) of ``fn`` over at least a window."""
-    fn()  # warm-up outside the clock
-    count = 0
-    start = time.perf_counter()
-    while time.perf_counter() - start < min_seconds:
-        fn()
-        count += 1
-    return count, time.perf_counter() - start
-
-
-def run(min_seconds: float = 1.5) -> dict:
+def run(min_seconds: float = 0.5, repeats: int = 5) -> dict:
     scenario = build_scenario("CPU1", "image", "default", "standard", seed=20200501)
     profile = scenario.profile()
     space = ConfigurationSpace(
@@ -97,10 +94,9 @@ def run(min_seconds: float = 1.5) -> dict:
             work_factors=work_factors,
         )
 
-    reps, elapsed = _repeat(scalar_grid, min_seconds)
-    scalar_eps = reps * n_pairs / elapsed
-    reps, elapsed = _repeat(batch_grid, min_seconds)
-    batch_eps = reps * n_pairs / elapsed
+    grid = interleaved_ratio(
+        scalar_grid, batch_grid, n_pairs, min_seconds, repeats
+    )
 
     # OracleStatic: the whole-horizon best configuration.
     def static(use_batch: bool):
@@ -108,10 +104,9 @@ def run(min_seconds: float = 1.5) -> dict:
             engine, space, goal, stream, N_INPUTS, use_batch=use_batch
         )
 
-    reps, elapsed = _repeat(lambda: static(False), min_seconds)
-    static_scalar_s = elapsed / reps
-    reps, elapsed = _repeat(lambda: static(True), min_seconds)
-    static_batch_s = elapsed / reps
+    static_timed = interleaved_ratio(
+        lambda: static(False), lambda: static(True), 1, min_seconds, repeats
+    )
 
     # Oracle: per-input decisions (no precomputed grid — the serving
     # loop's fallback path).
@@ -122,36 +117,55 @@ def run(min_seconds: float = 1.5) -> dict:
         for item in items:
             decide(item, goal)
 
-    reps, elapsed = _repeat(lambda: decisions(oracle.decide_scalar), min_seconds)
-    decide_scalar_dps = reps * N_INPUTS / elapsed
-    reps, elapsed = _repeat(lambda: decisions(oracle.decide), min_seconds)
-    decide_batch_dps = reps * N_INPUTS / elapsed
+    decide = interleaved_ratio(
+        lambda: decisions(oracle.decide_scalar),
+        lambda: decisions(oracle.decide),
+        N_INPUTS,
+        min_seconds,
+        repeats,
+    )
 
-    combined_scalar_s = static_scalar_s + N_INPUTS / decide_scalar_dps
-    combined_batch_s = static_batch_s + N_INPUTS / decide_batch_dps
+    # best_static_config + the OracleScheduler horizon, end to end,
+    # per repeat (each arm's windows were timed side by side).
+    def horizon_s(static_rate: float, decide_rate: float) -> float:
+        return 1.0 / static_rate + N_INPUTS / decide_rate
+
+    combined = [
+        horizon_s(static_slow, decide_slow) / horizon_s(static_fast, decide_fast)
+        for static_slow, static_fast, decide_slow, decide_fast in zip(
+            static_timed["slow_rates"],
+            static_timed["fast_rates"],
+            decide["slow_rates"],
+            decide["fast_rates"],
+        )
+    ]
     return {
         "benchmark": "oracle_throughput",
         "platform": "CPU1",
         "candidate_set": "table4_image",
         "n_configs": len(configs),
         "n_inputs": N_INPUTS,
-        "grid_scalar_evals_per_sec": round(scalar_eps, 1),
-        "grid_batch_evals_per_sec": round(batch_eps, 1),
-        "grid_speedup": round(batch_eps / scalar_eps, 2),
-        "static_scalar_seconds": round(static_scalar_s, 5),
-        "static_batch_seconds": round(static_batch_s, 5),
-        "static_speedup": round(static_scalar_s / static_batch_s, 2),
-        "oracle_scalar_decisions_per_sec": round(decide_scalar_dps, 1),
-        "oracle_batch_decisions_per_sec": round(decide_batch_dps, 1),
-        "decide_speedup": round(decide_batch_dps / decide_scalar_dps, 2),
-        # best_static_config + the OracleScheduler horizon, end to end.
-        "speedup": round(combined_scalar_s / combined_batch_s, 2),
+        "repeats": repeats,
+        "grid_scalar_evals_per_sec": round(grid["slow_rate"], 1),
+        "grid_batch_evals_per_sec": round(grid["fast_rate"], 1),
+        "grid_speedup": round(grid["ratio"], 2),
+        "grid_speedup_spread": grid["spread"],
+        "static_scalar_seconds": round(1.0 / static_timed["slow_rate"], 5),
+        "static_batch_seconds": round(1.0 / static_timed["fast_rate"], 5),
+        "static_speedup": round(static_timed["ratio"], 2),
+        "static_speedup_spread": static_timed["spread"],
+        "oracle_scalar_decisions_per_sec": round(decide["slow_rate"], 1),
+        "oracle_batch_decisions_per_sec": round(decide["fast_rate"], 1),
+        "decide_speedup": round(decide["ratio"], 2),
+        "decide_speedup_spread": decide["spread"],
+        "speedup": round(statistics.median(combined), 2),
+        "speedup_spread": spread(combined),
     }
 
 
 def smoke() -> None:
     """Seconds-scale end-to-end exercise of every path (for CI)."""
-    result = run(min_seconds=0.05)
+    result = run(min_seconds=0.05, repeats=1)
     assert result["speedup"] > 0
     print("bench_oracle_throughput smoke ok")
 

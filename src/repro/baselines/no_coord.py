@@ -39,7 +39,12 @@ from repro.core.controller import lockstep_stats_dict
 from repro.core.goals import Goal, ObjectiveKind
 from repro.core.kernel import Measurement
 from repro.core.selector import BaselineSelection
-from repro.core.slowdown import GlobalSlowdownEstimator, StackedSlowdownEstimator
+from repro.core.slowdown import (
+    GlobalSlowdownEstimator,
+    StackedSlowdownEstimator,
+    latency_ratio,
+    latency_ratios,
+)
 from repro.errors import ConfigurationError
 from repro.models.anytime import AnytimeDnn
 from repro.models.inference import InferenceOutcome
@@ -144,14 +149,20 @@ class NoCoordKernel:
 
     def observe(self, measurement: Measurement) -> None:
         # Each side interprets the measurement through its own (wrong)
-        # frame of reference — this is the lack of coordination.
-        self.app_filter.observe(measurement.full_latency_s, self.app_reference)
+        # frame of reference — this is the lack of coordination.  The
+        # sys reference is resolved and checked before the app filter
+        # moves (each filter checks its own pair first), so a rejected
+        # measurement — an unprofiled cap, a non-finite latency —
+        # leaves the kernel untouched.
+        measured = measurement.full_latency_s
         cap = measurement.power_cap_w
         sys_reference = self.latency_by_cap.get(cap)
         if sys_reference is None:
             sys_reference = self.profile.latency(self.model.name, cap)
-            self.latency_by_cap[cap] = sys_reference
-        self.sys_filter.observe(measurement.full_latency_s, sys_reference)
+        latency_ratio(measured, sys_reference)
+        self.app_filter.observe(measured, self.app_reference)
+        self.latency_by_cap[cap] = sys_reference
+        self.sys_filter.observe(measured, sys_reference)
 
 
 class NoCoordScheduler:
@@ -419,19 +430,25 @@ class NoCoordCellController:
         scheduler, elementwise.
         """
         measured = np.array([o.full_latency_s for o in outcomes])
-        self._app.observe(
-            measured, np.full(self.n_goals, self._app_reference)
-        )
+        # Every goal's sys reference is resolved and checked before
+        # the app plane moves, as in the scalar kernel.
         by_cap = self._latency_by_cap
+        resolved = {}
         references = []
         for outcome in outcomes:
             cap = outcome.power_cap_w
             reference = by_cap.get(cap)
             if reference is None:
                 reference = self.profile.latency(self.model.name, cap)
-                by_cap[cap] = reference
+                resolved[cap] = reference
             references.append(reference)
-        self._sys.observe(measured, np.array(references))
+        sys_references = np.array(references)
+        latency_ratios(measured, sys_references)
+        self._app.observe(
+            measured, np.full(self.n_goals, self._app_reference)
+        )
+        by_cap.update(resolved)
+        self._sys.observe(measured, sys_references)
 
     def xi_snapshot(self) -> None:
         """No-coord exposes no ``state``; records carry 0/0 like the

@@ -20,9 +20,8 @@ hierarchy ALERT uses, so comparisons stay apples-to-apples.
 **The batch path.**  Both oracles run on
 :meth:`repro.models.inference.InferenceEngine.evaluate_batch`, which
 realises the whole (configuration × input) outcome grid as NumPy
-arrays in one pass.  Selection is a feasibility mask plus one stable
-``np.lexsort`` per degradation tier; ``np.lexsort`` lists keys
-least-significant first, so the hierarchy is encoded back to front:
+arrays in one pass.  Selection is a lexicographic argmin per
+degradation tier, most significant key first:
 
 * feasible tier — minimise the goal objective
   (``(energy, -quality, cap)`` when minimising energy,
@@ -32,9 +31,17 @@ least-significant first, so the hierarchy is encoded back to front:
 * last-resort tier — ``(latency, -quality, power)``: fail as fast and
   as accurately as possible.
 
-Because the stable sort breaks ties by enumeration order, the batch
-pick is *identical* to the scalar ``min``-over-tuples reference, which
-is kept as :meth:`OracleScheduler.decide_scalar` /
+A single decision masks its column and takes one stable
+``np.lexsort`` over the tier's candidates.  A whole run
+(:meth:`OracleScheduler.decide_batch`) splits its columns by tier —
+those with a feasible row, those with a met deadline only, and the
+rest — and resolves each tier with one progressive argmin over its
+own keys and candidate mask: each key narrows every column's
+candidates to its minimisers, and a column drops out as soon as a
+single candidate survives.  Either way ties go to the first
+configuration in enumeration order, so the batch pick is *identical*
+to the scalar ``min``-over-tuples reference, which is kept as
+:meth:`OracleScheduler.decide_scalar` /
 ``best_static_config(..., use_batch=False)`` and pinned by the
 randomized parity suite (``tests/test_oracle_parity.py``).
 :func:`best_static_config` applies the paper's 10% rule the same way
@@ -84,21 +91,48 @@ def _objective_key(outcome: InferenceOutcome, goal: Goal):
     return (-outcome.quality, outcome.energy_j, outcome.power_cap_w)
 
 
-def _lexargmin_columns(keys: tuple[np.ndarray, ...]) -> np.ndarray:
+def _lexargmin_columns(
+    keys: tuple[np.ndarray, ...],
+    mask: np.ndarray | None = None,
+    columns: np.ndarray | None = None,
+) -> np.ndarray:
     """Per-column lexicographic argmin over axis 0, first occurrence.
 
-    Progressively restricts each column's candidate rows to the argmin
-    set of each key in significance order; the final ``argmax`` picks
-    the first surviving row, matching Python's ``min`` over key tuples
-    (and a stable ``np.lexsort``) exactly — at the cost of a few
-    masked reductions instead of a full sort.
+    ``keys`` are (row × column) planes, most significant first; a
+    one-column key (a per-row vector as ``[:, None]``) applies to every
+    column.  ``mask`` limits each column's candidate rows (None: every
+    row) and ``columns`` picks the plane columns to resolve (None:
+    all of them).  Each key narrows the candidates to its per-column
+    minimisers, and a column leaves the pass as soon as one candidate
+    survives, so later keys are only read on the columns still tied.
+    The first surviving row wins — Python's ``min`` over key tuples
+    (and a stable ``np.lexsort``) exactly.
     """
-    mask = np.ones(keys[0].shape, dtype=bool)
+    width = keys[0].shape[1] if columns is None else columns.size
+    if mask is None:
+        candidates = np.ones((keys[0].shape[0], width), dtype=bool)
+    else:
+        candidates = mask if columns is None else mask[:, columns]
+    rows = np.empty(width, dtype=np.intp)
+    live = np.arange(width)
+    take = columns  # plane columns of the still-tied set (None: all)
     for key in keys:
-        masked = np.where(mask, key, np.inf)
-        best = masked.min(axis=0)
-        mask &= masked == best[None, :]
-    return mask.argmax(axis=0)
+        if take is not None and key.shape[1] != 1:
+            key = key[:, take]
+        masked = np.where(candidates, key, np.inf)
+        candidates = candidates & (masked == masked.min(axis=0))
+        single = np.count_nonzero(candidates, axis=0) == 1
+        if single.any():
+            done = np.flatnonzero(single)
+            rows[live[done]] = candidates[:, done].argmax(axis=0)
+            tied = np.flatnonzero(~single)
+            if tied.size == 0:
+                return rows
+            live = live[tied]
+            candidates = candidates[:, tied]
+            take = live if columns is None else columns[live]
+    rows[live] = candidates.argmax(axis=0)
+    return rows
 
 
 def _lexmin(mask: np.ndarray, *keys: np.ndarray) -> int:
@@ -284,10 +318,9 @@ class OracleScheduler:
         if goal.deadline_s != grid.deadline_s or goal.period != grid.period_s:
             return None
         indices = [item.index for item in items]
-        positions = [grid.column_for(index) for index in indices]
-        if any(position is None for position in positions):
+        columns = grid.columns_of(indices)
+        if columns is None:
             return None
-        columns = np.asarray(positions, dtype=int)
         factors = np.array([item.work_factor for item in items], dtype=float)
         if not np.array_equal(factors, grid.work_factors[columns]):
             return None
@@ -313,11 +346,12 @@ class OracleScheduler:
 
         Requires every item to be answerable from the precomputed grid;
         otherwise (no grid, trace-adjusted deadlines, diverged draws)
-        falls back to per-item :meth:`decide`.  Per column, the scalar
-        tier hierarchy is folded into one lexicographic argmin with the
-        tier number as the most significant key; within a column,
-        cross-tier key comparisons never decide, so the winner matches
-        :meth:`decide` exactly (first occurrence on ties).
+        falls back to per-item :meth:`decide`.  The columns are split
+        by the tier :meth:`decide` would land in — some feasible row,
+        a met deadline only, or the last resort — and each tier runs
+        one progressive lexicographic argmin on its own keys and
+        candidate mask, so the winner matches :meth:`decide` exactly
+        (first occurrence on ties).
         """
         if not items:
             return []
@@ -339,24 +373,34 @@ class OracleScheduler:
         quality = grid.quality[:, selector]
         met = grid.met_deadline[:, selector]
         latency = grid.latency_s[:, selector]
-        shape = energy.shape
-        cap_w = np.broadcast_to(grid.power_cap_w[:, None], shape)
-        power_w = np.broadcast_to(self._power_w[:, None], shape)
         neg_quality = -quality
+        cap_w = grid.power_cap_w[:, None]
+        power_w = self._power_w[:, None]
 
         feasible = outcome_feasible(goal, met, quality, energy)
         if goal.objective is ObjectiveKind.MINIMIZE_ENERGY:
-            first, second = energy, neg_quality
+            objective = (energy, neg_quality, cap_w)
         else:
-            first, second = neg_quality, energy
-        # Tier per (configuration, input): 0 feasible, 1 met-deadline
-        # fallback, 2 last resort — the decide() branch order — with
-        # that tier's own ranking keys behind it.
-        tier = np.where(feasible, 0.0, np.where(met, 1.0, 2.0))
-        key1 = np.where(feasible, first, np.where(met, neg_quality, latency))
-        key2 = np.where(feasible, second, np.where(met, energy, neg_quality))
-        key3 = np.where(feasible, cap_w, power_w)
-        rows = _lexargmin_columns((tier, key1, key2, key3))
+            objective = (neg_quality, energy, cap_w)
+        any_feasible = feasible.any(axis=0)
+        any_met = met.any(axis=0)
+        # (columns in the tier, candidate rows, ranking keys) in the
+        # decide() branch order.
+        tiers = (
+            (any_feasible, feasible, objective),
+            (~any_feasible & any_met, met, (neg_quality, energy, power_w)),
+            (~(any_feasible | any_met), None, (latency, neg_quality, power_w)),
+        )
+        rows = np.empty(n, dtype=np.intp)
+        for in_tier, mask, keys in tiers:
+            if in_tier.all():
+                rows = _lexargmin_columns(keys, mask)
+                break
+            tier_columns = np.flatnonzero(in_tier)
+            if tier_columns.size:
+                rows[tier_columns] = _lexargmin_columns(
+                    keys, mask, tier_columns
+                )
         configs = self._configs
         return [configs[row] for row in rows.tolist()]
 

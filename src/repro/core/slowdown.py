@@ -23,7 +23,50 @@ import numpy as np
 from repro.core.kalman import AdaptiveKalmanFilter, StackedKalmanFilter
 from repro.errors import ConfigurationError
 
-__all__ = ["GlobalSlowdownEstimator", "StackedSlowdownEstimator"]
+__all__ = [
+    "GlobalSlowdownEstimator",
+    "StackedSlowdownEstimator",
+    "latency_ratio",
+    "latency_ratios",
+]
+
+
+def latency_ratio(measured_latency_s: float, profiled_latency_s: float) -> float:
+    """The ξ observation of one measurement, validated.
+
+    Raises :class:`ConfigurationError` unless both latencies are
+    positive and finite and their ratio does not overflow, so callers
+    can check a measurement before any state moves.
+    """
+    if not (
+        0.0 < measured_latency_s < math.inf
+        and 0.0 < profiled_latency_s < math.inf
+        and measured_latency_s / profiled_latency_s < math.inf
+    ):
+        raise ConfigurationError(
+            "latencies must be positive and finite "
+            f"(measured={measured_latency_s}, profiled={profiled_latency_s})"
+        )
+    return measured_latency_s / profiled_latency_s
+
+
+def latency_ratios(measured_latency_s, profiled_latency_s) -> np.ndarray:
+    """:func:`latency_ratio` elementwise over stacked states."""
+    measured = np.asarray(measured_latency_s, dtype=np.float64)
+    profiled = np.asarray(profiled_latency_s, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        ratio = measured / profiled
+    # NaN fails every comparison, so it is rejected with inf.
+    valid = (
+        (measured > 0)
+        & (profiled > 0)
+        & (measured < np.inf)
+        & (profiled < np.inf)
+        & (ratio < np.inf)
+    )
+    if not valid.all():
+        raise ConfigurationError("latencies must be positive and finite")
+    return ratio
 
 
 class GlobalSlowdownEstimator:
@@ -92,16 +135,7 @@ class GlobalSlowdownEstimator:
         """
         # Checked before any state moves: a NaN or inf (or a ratio
         # that overflows) must not reach the tail model or ξ.
-        if not (
-            0.0 < measured_latency_s < math.inf
-            and 0.0 < profiled_latency_s < math.inf
-            and measured_latency_s / profiled_latency_s < math.inf
-        ):
-            raise ConfigurationError(
-                "latencies must be positive and finite "
-                f"(measured={measured_latency_s}, profiled={profiled_latency_s})"
-            )
-        ratio = measured_latency_s / profiled_latency_s
+        ratio = latency_ratio(measured_latency_s, profiled_latency_s)
         threshold = self._filter.mu + self._tail_threshold * max(
             self._filter.sigma, self._min_sigma
         )
@@ -217,20 +251,7 @@ class StackedSlowdownEstimator:
         the tail threshold, the EWMA frequency/magnitude updates, and
         the Kalman update all use the state's own belief.
         """
-        measured = np.asarray(measured_latency_s, dtype=np.float64)
-        profiled = np.asarray(profiled_latency_s, dtype=np.float64)
-        with np.errstate(all="ignore"):
-            ratio = measured / profiled
-        # NaN fails every comparison, so it is rejected with inf.
-        valid = (
-            (measured > 0)
-            & (profiled > 0)
-            & (measured < np.inf)
-            & (profiled < np.inf)
-            & (ratio < np.inf)
-        )
-        if not valid.all():
-            raise ConfigurationError("latencies must be positive and finite")
+        ratio = latency_ratios(measured_latency_s, profiled_latency_s)
         threshold = self._filter.mu + self._tail_threshold * np.maximum(
             self._filter.sigma, self._min_sigma
         )

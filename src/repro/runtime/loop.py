@@ -26,10 +26,12 @@ advances every goal of a fused cell's feedback-scheme runs together:
   **feedback-free** (``scheduler.feedback_free`` is True: decisions
   never read observations and ``observe`` is a no-op, e.g. Oracle,
   OracleStatic, App-only) and no cross-input goal state applies, every
-  decision is known up front, so the loop realises the whole run as
-  one :meth:`~repro.models.inference.InferenceEngine.evaluate_batch`
-  pass per distinct configuration plus vectorized violation
-  bookkeeping instead of ``n_inputs`` engine round trips.  The fast
+  decision is known up front, so the loop realises the whole run in
+  whole-run array operations — the decisions grouped by configuration,
+  one gather per outcome plane from a shared grid (or one
+  :meth:`~repro.models.inference.InferenceEngine.evaluate_batch` pass
+  per configuration the grid cannot answer), and vectorized violation
+  bookkeeping — instead of ``n_inputs`` engine round trips.  The fast
   path is pure with respect to the engine's RAPL meter (nothing is
   metered) and matches the sequential records exactly up to
   floating-point associativity (≤ 1 ulp; discrete fields identical),
@@ -43,8 +45,9 @@ reads it.  On the sequential path each decision that resolves to a
 grid (row, column) is answered from the grid instead of
 :meth:`InferenceEngine.run` (the actuator is still driven, so effective
 caps and end state match the live path; nothing is metered); on the
-batch path whole configuration groups become column slices instead of
-fresh ``evaluate_batch`` passes.  Any lookup miss — off-grid input,
+batch path every grid-served input is read with one fancy-index gather
+per plane (``plane[rows, columns]``) instead of fresh
+``evaluate_batch`` passes.  Any lookup miss — off-grid input,
 unknown configuration, quantized cap, trace-adjusted deadline —
 falls back to the live engine per input, so a view is always an
 optimisation, never a semantics change
@@ -436,14 +439,19 @@ class ServingLoop:
     # Feedback-free batch fast path
     # ------------------------------------------------------------------
     def _run_batch(self, items: list[InputItem]):
-        """Realise a feedback-free run in vectorized passes.
+        """Realise a feedback-free run in whole-run array operations.
 
         All decisions are collected up front (``decide_batch`` when the
-        scheduler offers it), grouped by configuration, and each group
-        is realised with one pure ``evaluate_batch`` pass at the cap
-        the actuator would have enforced; violation flags are computed
-        on the whole arrays.  Nothing is metered and ``observe`` is
-        never called (feedback-free policies declare it a no-op).
+        scheduler offers it) and grouped by configuration identity.
+        Each group drives the actuator once and resolves its grid row
+        at the cap the actuator enforced; every grid-served input is
+        then read with one fancy-index gather per outcome plane
+        (``plane[rows, columns]``).  Groups the grid cannot answer
+        (no view, a quantized cap, an unknown configuration) get one
+        pure ``evaluate_batch`` pass each, scattered into the same
+        arrays.  Violation flags are computed once, on the whole-run
+        arrays.  Nothing is metered and ``observe`` is never called
+        (feedback-free policies declare it a no-op).
 
         Returns ``(arrays, materialize)``: the run's vectorized
         :class:`~repro.runtime.results.RunArrays` plus a thunk that
@@ -466,47 +474,17 @@ class ServingLoop:
             configs = [scheduler.decide(item, adjusted) for item in items]
 
         engine = self.engine
+        actuator = engine.actuator
         clamp = engine.machine.clamp_power
         deadline = adjusted.deadline_s
         period = base_goal.period
         item_indices = [item.index for item in items]
-
-        # Group input positions by decided configuration.  Identity
-        # grouping suffices: schedulers hand out their candidate
-        # objects, so equal decisions are the same object (and a
-        # duplicate object would only cost one extra engine pass).
-        groups: dict[int, list[int]] = {}
-        group_config: dict[int, object] = {}
-        for position, config in enumerate(configs):
-            key = id(config)
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = [position]
-                group_config[key] = config
-            else:
-                bucket.append(position)
-
         n = len(items)
-        # Whole-run series, filled group by group from the same numpy
-        # rows the records are built from (so aggregates over either
-        # are bit-identical).
-        arr_latency = np.empty(n)
-        arr_quality = np.empty(n)
-        arr_energy = np.empty(n)
-        arr_metric = np.empty(n)
-        arr_violated = np.empty(n, dtype=bool)
-        arr_missed = np.empty(n, dtype=bool)
-        # Per-group payloads captured for the deferred record build.
-        group_payloads = []
-        # Occupied simulated time across the run (the per-input ticks
-        # the sequential path would have made), folded into the clock
-        # in one tick_many at the end.
-        total_occupied = 0.0
 
         # Shared-realisation serving: when a grid view covers this
-        # run's timing and every input, configuration groups become
-        # column slices of the precomputed grid instead of fresh
-        # evaluate_batch passes.
+        # run's timing and every input, grid-served groups are read
+        # out of the precomputed grid instead of fresh evaluate_batch
+        # passes.
         view = self.grid_view
         grid = None
         grid_columns = None
@@ -535,102 +513,103 @@ class ServingLoop:
         else:
             xi_mean, xi_sigma = 0.0, 0.0
 
-        for key, positions in groups.items():
-            config = group_config[key]
-            model = config.model
-            effective = engine.actuator.set_power_cap(config.power_w)
-            requested = clamp(config.power_w)
-            row = None
+        # Identity grouping suffices: schedulers hand out their
+        # candidate objects, so equal decisions are the same object
+        # (and a duplicate object would only cost one extra group).
+        group_configs, labels, order, starts = _group_by_identity(configs)
+        n_groups = len(group_configs)
+        group_rows = np.full(n_groups, -1, dtype=np.intp)
+        requested: list[float] = []
+        effective: list[float] = []
+        for g, config in enumerate(group_configs):
+            cap = actuator.set_power_cap(config.power_w)
+            requested.append(clamp(config.power_w))
+            effective.append(cap)
             if grid is not None:
-                row = view.row_for(model, effective, config.rung_cap)
-            if row is not None:
-                cols = grid_columns[positions]
-                power = float(grid.inference_power_w[row])
-                met_row = grid.met_deadline[row, cols]
-                quality_row = grid.quality[row, cols]
-                energy_row = grid.energy_j[row, cols]
-                latency_row = grid.latency_s[row, cols]
-                latency = latency_row.tolist()
-                full = grid.full_latency_s[row, cols].tolist()
-                rungs = grid.completed_rungs[row, cols].tolist()
-                inference_j = grid.inference_j[row, cols].tolist()
-                idle_j = grid.idle_j[row, cols].tolist()
-                idle_power = grid.idle_power_w[row, cols].tolist()
-                env = grid.env_factor[cols].tolist()
-            else:
-                shim_key = (id(model), effective, config.rung_cap)
-                shim = self._batch_configs.get(shim_key)
-                if shim is None:
-                    shim = (_CapOverride(model, effective, config.rung_cap),)
-                    self._batch_configs[shim_key] = shim
-                column = engine.evaluate_batch(
-                    configs=shim,
-                    indices=[item_indices[p] for p in positions],
-                    deadline_s=deadline,
-                    period_s=period,
-                    work_factors=[items[p].work_factor for p in positions],
-                )
-                power = float(column.inference_power_w[0])
-                met_row = column.met_deadline[0]
-                quality_row = column.quality[0]
-                energy_row = column.energy_j[0]
-                latency_row = column.latency_s[0]
-                latency = latency_row.tolist()
-                full = column.full_latency_s[0].tolist()
-                rungs = column.completed_rungs[0].tolist()
-                inference_j = column.inference_j[0].tolist()
-                idle_j = column.idle_j[0].tolist()
-                idle_power = column.idle_power_w[0].tolist()
-                env = column.env_factor.tolist()
-
-            model_name = model.name
-            total_occupied += sum(
-                t if t > period else period for t in latency
-            )
-            met = met_row.tolist()
-            quality = quality_row.tolist()
-            metric = model.task.quality_to_metric_list(quality)
-
-            # Vectorized violation bookkeeping (one place of tolerance
-            # truth: repro.core.goals, shared with the sequential
-            # _record and the oracles' feasibility masks).
-            missed_row = np.logical_not(met_row)
-            latency_violation = missed_row.tolist()
-            accuracy = base_goal.quality_violated(quality_row)
-            if isinstance(accuracy, np.ndarray):
-                accuracy_row = accuracy
-            else:
-                accuracy_row = np.full(len(positions), bool(accuracy))
-            accuracy_violation = accuracy_row.tolist()
-            budget = base_goal.energy_violated(energy_row)
-            if isinstance(budget, np.ndarray):
-                budget_row = budget
-            else:
-                budget_row = np.full(len(positions), bool(budget))
-            energy_violation = budget_row.tolist()
-
-            arr_latency[positions] = latency_row
-            arr_quality[positions] = quality_row
-            arr_energy[positions] = energy_row
-            arr_metric[positions] = metric
-            arr_violated[positions] = missed_row | accuracy_row | budget_row
-            arr_missed[positions] = missed_row
-
-            group_payloads.append((
-                positions, model_name, power, requested, effective,
-                met, quality, metric, latency, full, rungs,
-                inference_j, idle_j, idle_power, env,
-                latency_violation, accuracy_violation, energy_violation,
-            ))
+                row = view.row_for(config.model, cap, config.rung_cap)
+                if row is not None:
+                    group_rows[g] = row
         # The sequential path leaves the actuator at the last decision.
-        engine.actuator.set_power_cap(configs[-1].power_w)
+        actuator.set_power_cap(configs[-1].power_w)
+
+        planes = None
+        if grid is not None:
+            # One gather per plane over every input; inputs whose group
+            # missed the grid read row 0 here and are overwritten below.
+            # Fancy indexing copies, so nothing kept past this call is
+            # a view into a (possibly shared-memory) grid.
+            rows = np.maximum(group_rows, 0)[labels]
+            planes = _gather(grid, rows, grid_columns)
+        for g in np.flatnonzero(group_rows < 0).tolist():
+            config = group_configs[g]
+            positions = order[starts[g]:starts[g + 1]]
+            shim_key = (id(config.model), effective[g], config.rung_cap)
+            shim = self._batch_configs.get(shim_key)
+            if shim is None:
+                shim = (
+                    _CapOverride(config.model, effective[g], config.rung_cap),
+                )
+                self._batch_configs[shim_key] = shim
+            members = positions.tolist()
+            column = engine.evaluate_batch(
+                configs=shim,
+                indices=[item_indices[p] for p in members],
+                deadline_s=deadline,
+                period_s=period,
+                work_factors=[items[p].work_factor for p in members],
+            )
+            part = _gather(column, 0, np.arange(len(members)))
+            if planes is None:
+                planes = {
+                    name: np.empty(n, dtype=np.asarray(values).dtype)
+                    for name, values in part.items()
+                }
+            for name, values in part.items():
+                planes[name][positions] = values
+
+        latency = planes["latency_s"]
+        quality = planes["quality"]
+        energy = planes["energy_j"]
+        missed = np.logical_not(planes["met_deadline"])
+        # Vectorized violation bookkeeping (one place of tolerance
+        # truth: repro.core.goals, shared with the sequential _record
+        # and the oracles' feasibility masks).
+        accuracy = base_goal.quality_violated(quality)
+        if not isinstance(accuracy, np.ndarray):
+            accuracy = np.full(n, bool(accuracy))
+        budget = base_goal.energy_violated(energy)
+        if not isinstance(budget, np.ndarray):
+            budget = np.full(n, bool(budget))
+
+        quality_list = quality.tolist()
+        tasks = [config.model.task for config in group_configs]
+        if all(task is tasks[0] for task in tasks):
+            metric_list = tasks[0].quality_to_metric_list(quality_list)
+        else:
+            metric_list = [
+                tasks[g].quality_to_metric(q)
+                for g, q in zip(labels.tolist(), quality_list)
+            ]
+        metric = np.array(metric_list, dtype=float)
+
+        # Occupied simulated time (the per-input ticks the sequential
+        # path would have made), summed as Python floats group by group
+        # in first-occurrence order so the odometer stays bit-identical
+        # to the per-group sums it always took.
+        occupied = np.where(latency > period, latency, period)
+        by_group = occupied[order].tolist()
+        bounds = starts.tolist()
+        total_occupied = 0.0
+        for g in range(n_groups):
+            total_occupied += sum(by_group[bounds[g]:bounds[g + 1]])
         self.clock.tick_many(total_occupied, n)
 
         arrays = RunArrays(
-            latency_s=arr_latency, quality=arr_quality, energy_j=arr_energy,
-            metric_value=arr_metric, violated=arr_violated,
-            latency_violation=arr_missed,
+            latency_s=latency, quality=quality, energy_j=energy,
+            metric_value=metric, violated=missed | accuracy | budget,
+            latency_violation=missed,
         )
+        names = [config.model.name for config in group_configs]
 
         def materialize() -> list[ServedInput]:
             # Records are assembled by direct __dict__ fill: the frozen
@@ -638,56 +617,117 @@ class ServingLoop:
             # this build's dominant cost, and these classes have no
             # __post_init__ to skip.  The parity suite pins the result
             # against constructor-built sequential records field by
-            # field.  The closure holds only plain per-group lists —
-            # no engine or grid references.
-            records: list[ServedInput | None] = [None] * n
+            # field.  The closure holds only private whole-run arrays
+            # and per-group lists — no engine or grid references.
             fill = object.__setattr__  # frozen dataclasses veto assignment
+            records: list[ServedInput] = []
+            append = records.append
             for (
-                positions, model_name, power, requested, effective,
-                met, quality, metric, latency, full, rungs,
-                inference_j, idle_j, idle_power, env,
+                index, g, latency_s, full, met, q, value, rungs,
+                inference_j, idle_j, idle_power, env, power,
                 latency_violation, accuracy_violation, energy_violation,
-            ) in group_payloads:
-                for j, position in enumerate(positions):
-                    energy = object.__new__(EnergyBreakdown)
-                    fill(energy, "__dict__", {
-                        "inference_j": inference_j[j],
-                        "idle_j": idle_j[j],
-                    })
-                    outcome = object.__new__(InferenceOutcome)
-                    fill(outcome, "__dict__", {
-                        "index": item_indices[position],
-                        "model_name": model_name,
-                        "power_cap_w": requested,
-                        "effective_cap_w": effective,
-                        "latency_s": latency[j],
-                        "full_latency_s": full[j],
-                        "met_deadline": met[j],
-                        "quality": quality[j],
-                        "metric_value": metric[j],
-                        "completed_rungs": rungs[j],
-                        "energy": energy,
-                        "inference_power_w": power,
-                        "idle_power_w": idle_power[j],
-                        "env_factor": env[j],
-                        "deadline_s": deadline,
-                        "period_s": period,
-                    })
-                    record = object.__new__(ServedInput)
-                    fill(record, "__dict__", {
-                        "outcome": outcome,
-                        "goal": base_goal,
-                        "effective_deadline_s": deadline,
-                        "latency_violation": latency_violation[j],
-                        "accuracy_violation": accuracy_violation[j],
-                        "energy_violation": energy_violation[j],
-                        "xi_mean": xi_mean,
-                        "xi_sigma": xi_sigma,
-                    })
-                    records[position] = record
+            ) in zip(
+                item_indices, labels.tolist(), latency.tolist(),
+                planes["full_latency_s"].tolist(),
+                planes["met_deadline"].tolist(), quality_list,
+                metric_list, planes["completed_rungs"].tolist(),
+                planes["inference_j"].tolist(), planes["idle_j"].tolist(),
+                planes["idle_power_w"].tolist(),
+                planes["env_factor"].tolist(),
+                planes["inference_power_w"].tolist(),
+                missed.tolist(), accuracy.tolist(), budget.tolist(),
+            ):
+                breakdown = object.__new__(EnergyBreakdown)
+                fill(breakdown, "__dict__", {
+                    "inference_j": inference_j,
+                    "idle_j": idle_j,
+                })
+                outcome = object.__new__(InferenceOutcome)
+                fill(outcome, "__dict__", {
+                    "index": index,
+                    "model_name": names[g],
+                    "power_cap_w": requested[g],
+                    "effective_cap_w": effective[g],
+                    "latency_s": latency_s,
+                    "full_latency_s": full,
+                    "met_deadline": met,
+                    "quality": q,
+                    "metric_value": value,
+                    "completed_rungs": rungs,
+                    "energy": breakdown,
+                    "inference_power_w": power,
+                    "idle_power_w": idle_power,
+                    "env_factor": env,
+                    "deadline_s": deadline,
+                    "period_s": period,
+                })
+                record = object.__new__(ServedInput)
+                fill(record, "__dict__", {
+                    "outcome": outcome,
+                    "goal": base_goal,
+                    "effective_deadline_s": deadline,
+                    "latency_violation": latency_violation,
+                    "accuracy_violation": accuracy_violation,
+                    "energy_violation": energy_violation,
+                    "xi_mean": xi_mean,
+                    "xi_sigma": xi_sigma,
+                })
+                append(record)
             return records
 
         return arrays, materialize
+
+
+#: Per-input outcome planes of a :class:`BatchOutcomeGrid`, read by
+#: the batch path's gather (``energy_j`` is the grid's summed plane).
+_GRID_PLANES = (
+    "latency_s",
+    "full_latency_s",
+    "met_deadline",
+    "quality",
+    "completed_rungs",
+    "inference_j",
+    "idle_j",
+    "idle_power_w",
+    "energy_j",
+)
+
+
+def _gather(grid, rows, columns: np.ndarray) -> dict:
+    """Every per-input outcome plane of ``grid`` at (``rows``, ``columns``)."""
+    planes = {name: getattr(grid, name)[rows, columns] for name in _GRID_PLANES}
+    planes["env_factor"] = grid.env_factor[columns]
+    planes["inference_power_w"] = grid.inference_power_w[rows]
+    return planes
+
+
+def _group_by_identity(objects: list):
+    """Positions grouped by object identity, in first-occurrence order.
+
+    Returns ``(representatives, labels, order, starts)``: group ``g``
+    is ``representatives[g]``, ``labels[p]`` is the group of position
+    ``p``, and group ``g``'s positions are
+    ``order[starts[g]:starts[g + 1]]`` in ascending order.
+    """
+    n = len(objects)
+    ids = np.fromiter(map(id, objects), dtype=np.uintp, count=n)
+    if (ids == ids[0]).all():
+        # App-only and static runs decide one configuration throughout.
+        return (
+            [objects[0]], np.zeros(n, dtype=np.intp), np.arange(n),
+            np.array([0, n]),
+        )
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    # np.unique sorts by id; re-rank its groups by first occurrence.
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    labels = rank[inverse.reshape(-1)]
+    order = np.argsort(labels, kind="stable")
+    starts = np.zeros(by_first.size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(labels, minlength=by_first.size), out=starts[1:])
+    representatives = [objects[p] for p in first[by_first].tolist()]
+    return representatives, labels, order, starts
 
 
 class LockstepServingLoop:

@@ -303,6 +303,9 @@ class CellSummary:
                 missed[i] = record.latency_violation
         mean_quality = float(np.mean(quality))
         mean_energy_j = float(np.mean(energy))
+        # One call for both tails: the same sort and interpolation as
+        # two separate calls, bit for bit, at about half the cost.
+        p50_latency_s, p99_latency_s = np.percentile(latency, [50.0, 99.0])
         violation_fraction = float(np.mean(violated))
         objective_value = (
             mean_energy_j
@@ -318,8 +321,8 @@ class CellSummary:
             mean_error=1.0 - mean_quality,
             mean_energy_j=mean_energy_j,
             mean_latency_s=float(np.mean(latency)),
-            p50_latency_s=float(np.percentile(latency, 50.0)),
-            p99_latency_s=float(np.percentile(latency, 99.0)),
+            p50_latency_s=float(p50_latency_s),
+            p99_latency_s=float(p99_latency_s),
             objective_value=objective_value,
             setting_violated=violation_fraction > VIOLATION_SETTING_THRESHOLD,
         )
@@ -384,6 +387,23 @@ def _checkpoint_line(spec_fp: str, unit_fp: str, summaries) -> str:
         "summaries": [summary.to_json() for summary in summaries],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _open_checkpoint(path):
+    """Open a checkpoint for appending, ending a line a crash cut short.
+
+    Without the newline the first appended cell would run into the cut
+    fragment, and the next resume would drop both.
+    """
+    cut = False
+    if os.path.exists(path) and os.path.getsize(path):
+        with open(path, "rb") as tail:
+            tail.seek(-1, os.SEEK_END)
+            cut = tail.read(1) != b"\n"
+    handle = open(path, "a", encoding="utf-8")
+    if cut:
+        handle.write("\n")
+    return handle
 
 
 def load_checkpoint(path, spec_fp: str) -> dict[str, tuple[CellSummary, ...]]:
@@ -591,7 +611,7 @@ def run_sweep(
     handle = None
     try:
         if checkpoint_path is not None and pending:
-            handle = open(checkpoint_path, "a", encoding="utf-8")
+            handle = _open_checkpoint(checkpoint_path)
 
         def record(position: int, summaries, cell_runs) -> None:
             cells[position] = summaries

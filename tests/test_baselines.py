@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,8 @@ from repro.baselines import (
 )
 from repro.core.config_space import Configuration, ConfigurationSpace
 from repro.core.goals import Goal, ObjectiveKind
-from repro.errors import ConfigurationError
+from repro.core.kernel import Measurement
+from repro.errors import ConfigurationError, ProfileError
 from repro.hw.energy import EnergyBreakdown
 from repro.models.base import IMAGE_TASK, DnnModel
 from repro.models.inference import BatchOutcomeGrid, InferenceOutcome
@@ -75,6 +79,93 @@ def test_no_coord_combines_independent_decisions(image_scenario):
     config = scheduler.decide(InputItem(index=0), _goal())
     assert config.model is anytime
     assert config.rung_cap is not None
+
+
+def _warm_no_coord(scenario, powers=None):
+    profile = scenario.profile()
+    scheduler = NoCoordScheduler(
+        profile, scenario.candidates.anytime, powers=powers
+    )
+    kernel = scheduler.kernel
+    for factor in (1.1, 0.9, 1.3):
+        kernel.observe(
+            Measurement(
+                model_name=kernel.model.name,
+                power_cap_w=kernel.powers[0],
+                full_latency_s=kernel.power_latencies[0] * factor,
+            )
+        )
+    return scheduler
+
+
+def _rejected_unchanged(target, call, error) -> None:
+    before = pickle.dumps(target)
+    with pytest.raises(error):
+        call()
+    assert pickle.dumps(target) == before
+
+
+def test_no_coord_observe_rejects_atomically(image_scenario):
+    # An unprofiled cap used to move the app filter before the sys
+    # reference lookup raised; a rejected measurement must move
+    # neither filter (nor grow the per-cap reference memo).
+    profile = image_scenario.profile()
+    powers = sorted(profile.powers)
+    kernel = _warm_no_coord(image_scenario, powers=powers[:2]).kernel
+    name = kernel.model.name
+    unprofiled = Measurement(
+        model_name=name, power_cap_w=powers[-1] + 0.123, full_latency_s=0.2
+    )
+    _rejected_unchanged(kernel, lambda: kernel.observe(unprofiled), ProfileError)
+    # A profiled cap off the candidate ladder, with a non-finite latency.
+    off_ladder = Measurement(
+        model_name=name, power_cap_w=powers[-1], full_latency_s=float("nan")
+    )
+    _rejected_unchanged(
+        kernel, lambda: kernel.observe(off_ladder), ConfigurationError
+    )
+    # A pair only the sys side rejects (its ratio overflows).
+    kernel.latency_by_cap[powers[0]] = 5e-324
+    overflow = Measurement(
+        model_name=name, power_cap_w=powers[0], full_latency_s=1.0
+    )
+    _rejected_unchanged(
+        kernel, lambda: kernel.observe(overflow), ConfigurationError
+    )
+
+
+def test_no_coord_observe_many_rejects_atomically(image_scenario):
+    profile = image_scenario.profile()
+    powers = sorted(profile.powers)
+    schedulers = [
+        NoCoordScheduler(profile, image_scenario.candidates.anytime)
+        for _ in range(3)
+    ]
+    cell = NoCoordScheduler.stack_into_cell(schedulers)
+    good = SimpleNamespace(power_cap_w=powers[0], full_latency_s=0.2)
+    cell.observe_many([good, good, good])
+
+    unprofiled = SimpleNamespace(
+        power_cap_w=powers[-1] + 0.123, full_latency_s=0.2
+    )
+    _rejected_unchanged(
+        cell, lambda: cell.observe_many([good, unprofiled, good]), ProfileError
+    )
+    not_finite = SimpleNamespace(
+        power_cap_w=powers[1], full_latency_s=float("inf")
+    )
+    _rejected_unchanged(
+        cell,
+        lambda: cell.observe_many([good, good, not_finite]),
+        ConfigurationError,
+    )
+    cell._latency_by_cap[powers[1]] = 5e-324
+    overflow = SimpleNamespace(power_cap_w=powers[1], full_latency_s=1.0)
+    _rejected_unchanged(
+        cell,
+        lambda: cell.observe_many([good, overflow, good]),
+        ConfigurationError,
+    )
 
 
 def test_oracle_picks_feasible_optimum(image_scenario, space):

@@ -11,18 +11,24 @@ and candidate sets mixing anytime and traditional networks.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.oracle import (
     OracleScheduler,
+    _lexargmin_columns,
     best_static_config,
     make_oracle_static,
     oracle_outcome_grid,
 )
 from repro.core.config_space import ConfigurationSpace
-from repro.core.goals import Goal, ObjectiveKind
+from repro.core.goals import Goal, ObjectiveKind, outcome_feasible
 from repro.experiments.harness import evaluate_schemes, make_scheme
+from repro.models.inference import BatchOutcomeGrid, GridView
 from repro.workloads.inputs import InputItem
 from repro.workloads.scenarios import build_scenario
 
@@ -280,3 +286,169 @@ def test_evaluate_schemes_shared_grid_unchanged(image_scenario):
         ]
         assert a.mean_energy_j == pytest.approx(b.mean_energy_j, abs=PARITY_TOL)
         assert a.violation_fraction == b.violation_fraction
+
+
+# ----------------------------------------------------------------------
+# Tiered progressive argmin against a per-column np.lexsort reference
+# ----------------------------------------------------------------------
+def _lexsort_pick(mask, keys, column) -> int:
+    """First row of ``column``'s lexicographic minimum among ``mask``."""
+    candidates = np.flatnonzero(mask[:, column])
+    order = np.lexsort(
+        tuple(
+            np.broadcast_to(key, mask.shape)[candidates, column]
+            for key in reversed(keys)
+        )
+    )
+    return int(candidates[order[0]])
+
+
+def _quantized(rng, shape, levels):
+    """Random values on a coarse lattice, so ties are common."""
+    return rng.integers(0, levels, size=shape).astype(float) / levels
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 12),
+    n_columns=st.integers(1, 30),
+    levels=st.sampled_from([1, 2, 3, 1000]),
+    density=st.floats(0.0, 1.0),
+    subset=st.booleans(),
+)
+def test_lexargmin_columns_matches_lexsort(
+    seed, n_rows, n_columns, levels, density, subset
+):
+    rng = np.random.default_rng(seed)
+    first = _quantized(rng, (n_rows, n_columns), levels)
+    first[rng.random(first.shape) < 0.2] = np.inf  # unbounded outcomes
+    keys = (
+        first,
+        -_quantized(rng, (n_rows, n_columns), levels),
+        _quantized(rng, (n_rows, 1), levels),  # a per-row key
+    )
+    mask = rng.random((n_rows, n_columns)) < density
+    mask[rng.integers(0, n_rows, n_columns), np.arange(n_columns)] = True
+    columns = None
+    if subset:
+        columns = np.flatnonzero(rng.random(n_columns) < 0.5)
+        if columns.size == 0:
+            columns = np.array([n_columns - 1])
+    wanted = columns if columns is not None else np.arange(n_columns)
+    expected = [_lexsort_pick(mask, keys, c) for c in wanted]
+    assert _lexargmin_columns(keys, mask, columns).tolist() == expected
+    everything = np.ones_like(mask)
+    expected = [_lexsort_pick(everything, keys, c) for c in wanted]
+    assert _lexargmin_columns(keys, None, columns).tolist() == expected
+
+
+def _random_grid(rng, configs, goal, n_columns, levels):
+    """A hand-built outcome grid over ``configs`` with tie-heavy planes.
+
+    Some columns are forced degenerate: every row identical, every row
+    infeasible (met deadline, broken constraint), every row missed.
+    """
+    shape = (len(configs), n_columns)
+    met = rng.random(shape) < 0.6
+    quality = 0.8 + 0.2 * _quantized(rng, shape, levels)
+    energy = 1.0 + _quantized(rng, shape, levels)
+    latency = goal.deadline_s * (0.5 + _quantized(rng, shape, levels))
+    kinds = rng.integers(0, 5, n_columns)
+    for column in np.flatnonzero(kinds == 1):  # every row ties
+        met[:, column] = met[0, column]
+        quality[:, column] = quality[0, column]
+        energy[:, column] = energy[0, column]
+        latency[:, column] = latency[0, column]
+    nothing = kinds == 2  # deadlines met, both constraints broken
+    met[:, nothing] = True
+    width = int(nothing.sum())
+    quality[:, nothing] = 0.5 + 0.3 * _quantized(rng, (shape[0], width), levels)
+    energy[:, nothing] = 2.0 + _quantized(rng, (shape[0], width), levels)
+    met[:, kinds == 3] = False  # every deadline missed
+    caps = np.array([config.power_w for config in configs])
+    return BatchOutcomeGrid(
+        configs=tuple(configs),
+        indices=np.arange(n_columns),
+        deadline_s=goal.deadline_s,
+        period_s=goal.period,
+        work_factors=np.ones(n_columns),
+        env_factor=np.ones(n_columns),
+        power_cap_w=np.round(caps * levels / caps.max()) / levels,
+        inference_power_w=caps,
+        idle_power_w=np.zeros(shape),
+        latency_s=latency,
+        full_latency_s=latency,
+        met_deadline=met,
+        quality=quality,
+        completed_rungs=np.zeros(shape, dtype=int),
+        inference_j=energy,
+        idle_j=np.zeros(shape),
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _property_scenario():
+    return _scenario(SCENARIO_GRID[0])
+
+
+def _tiered_reference(grid, goal) -> list[int]:
+    """decide()'s tier hierarchy, one column and one lexsort at a time."""
+    met = grid.met_deadline
+    quality = grid.quality
+    energy = grid.energy_j
+    feasible = outcome_feasible(goal, met, quality, energy)
+    cap_w = grid.power_cap_w[:, None]
+    power_w = np.array([c.power_w for c in grid.configs])[:, None]
+    if goal.objective is ObjectiveKind.MINIMIZE_ENERGY:
+        objective = (energy, -quality, cap_w)
+    else:
+        objective = (-quality, energy, cap_w)
+    rows = []
+    for column in range(grid.n_inputs):
+        if feasible[:, column].any():
+            rows.append(_lexsort_pick(feasible, objective, column))
+        elif met[:, column].any():
+            rows.append(
+                _lexsort_pick(met, (-quality, energy, power_w), column)
+            )
+        else:
+            rows.append(
+                _lexsort_pick(
+                    np.ones_like(met), (grid.latency_s, -quality, power_w),
+                    column,
+                )
+            )
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_columns=st.integers(1, 40),
+    levels=st.sampled_from([1, 2, 4, 1000]),
+    objective=st.sampled_from(list(ObjectiveKind)),
+)
+def test_tiered_decide_batch_matches_lexsort_reference(
+    seed, n_columns, levels, objective
+):
+    scenario = _property_scenario()
+    configs = list(_space(scenario))[::7]
+    rng = np.random.default_rng(seed)
+    deadline = 0.2
+    if objective is ObjectiveKind.MINIMIZE_ENERGY:
+        goal = Goal(objective=objective, deadline_s=deadline, accuracy_min=0.9)
+    else:
+        goal = Goal(objective=objective, deadline_s=deadline, energy_budget_j=1.5)
+    grid = _random_grid(rng, configs, goal, n_columns, levels)
+    oracle = OracleScheduler(
+        scenario.make_engine(),
+        tuple(configs),
+        grid_view=GridView(grid, trusted=True),
+    )
+    items = [InputItem(index=i) for i in range(n_columns)]
+    picks = oracle.decide_batch(items, goal)
+    expected = _tiered_reference(grid, goal)
+    assert [configs.index(config) for config in picks] == expected
+    # Every column answers exactly like a single decide() on it.
+    assert picks == [oracle.decide(item, goal) for item in items]

@@ -13,11 +13,18 @@ and aggregates.  Feedback schemes, requirement traces, and grouped
 
 from __future__ import annotations
 
-import pytest
+import functools
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.config_space import Configuration
 from repro.core.goals import Goal, ObjectiveKind
 from repro.errors import ConfigurationError
 from repro.experiments.harness import make_scheme
+from repro.models.inference import GridView
 from repro.runtime.loop import ServingLoop
 from repro.workloads.scenarios import build_scenario
 from repro.workloads.traces import RequirementChange, RequirementTrace
@@ -211,3 +218,161 @@ def test_requirement_trace_falls_back_to_sequential(image_scenario, monkeypatch)
     monkeypatch.setattr(loop, "_run_batch", boom)
     result = loop.run(8)
     assert result.n_inputs == 8
+
+
+# ----------------------------------------------------------------------
+# Property: the whole-run gather against the sequential reference
+# ----------------------------------------------------------------------
+class _ScriptedScheduler:
+    """A feedback-free policy replaying a fixed decision per input."""
+
+    feedback_free = True
+    name = "Scripted"
+
+    def __init__(self, script, grid_view=None) -> None:
+        self.script = script
+        self.grid_view = grid_view
+
+    def decide(self, item, goal):
+        return self.script[item.index]
+
+    def decide_batch(self, items, goal):
+        return [self.script[item.index] for item in items]
+
+    def observe(self, outcome) -> None:
+        """Feedback-free: nothing to learn."""
+
+
+@functools.lru_cache(maxsize=None)
+def _property_scenario(platform, seed=19):
+    return build_scenario(platform, "image", "memory", "standard", seed=seed)
+
+
+def _pool(scenario) -> list:
+    """Candidate configurations plus caps that lie on no grid row."""
+    configs = list(scenario.space())[::13]
+    off_grid = [
+        Configuration(
+            model=config.model,
+            power_w=config.power_w * 0.97,
+            rung_cap=config.rung_cap,
+        )
+        for config in configs[:3]
+    ]
+    return configs + off_grid
+
+
+def _grid_arrays(grid) -> list[np.ndarray]:
+    return [
+        value for value in vars(grid).values() if isinstance(value, np.ndarray)
+    ]
+
+
+def _closure_arrays(thunk) -> list[np.ndarray]:
+    found = []
+    pending = [cell.cell_contents for cell in thunk.__closure__ or ()]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, dict):
+            pending.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            pending.extend(value)
+    return found
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    platform=st.sampled_from(["CPU1", "GPU"]),
+    pattern=st.sampled_from(["one", "distinct", "interleaved"]),
+    coverage=st.sampled_from(["full", "some_rows", "short", "none", "diverged"]),
+    trusted=st.booleans(),
+    objective=st.sampled_from(list(ObjectiveKind)),
+)
+def test_gather_matches_sequential(
+    data, platform, pattern, coverage, trusted, objective
+):
+    scenario = _property_scenario(platform)
+    goal = _goal(scenario, objective)
+    pool = _pool(scenario)
+    n = data.draw(st.integers(1, 30), label="n")
+    if pattern == "one":
+        script = [pool[data.draw(st.integers(0, len(pool) - 1))]] * n
+    elif pattern == "distinct":
+        n = min(n, len(pool))
+        script = data.draw(st.permutations(pool), label="order")[:n]
+    else:
+        few = data.draw(
+            st.lists(st.sampled_from(pool), min_size=2, max_size=4), label="few"
+        )
+        script = data.draw(
+            st.lists(st.sampled_from(few), min_size=n, max_size=n),
+            label="script",
+        )
+
+    grid = None
+    if coverage != "none":
+        rows = list(scenario.space())
+        if coverage == "some_rows":
+            rows = rows[::2]
+        width = n - 1 if coverage == "short" and n > 1 else n
+        source = scenario
+        if coverage == "diverged":
+            source = _property_scenario(platform, seed=20)
+            trusted = False  # a trusted view promises same-seed draws
+        grid = source.make_engine().evaluate_batch(
+            configs=tuple(rows),
+            indices=range(width),
+            deadline_s=goal.deadline_s,
+            period_s=goal.period,
+            work_factors=[
+                source.make_stream().item(i).work_factor for i in range(width)
+            ],
+        )
+
+    def serve(batch):
+        engine = scenario.make_engine()
+        view = GridView(grid, trusted=trusted) if grid is not None else None
+        loop = ServingLoop(
+            engine, scenario.make_stream(), _ScriptedScheduler(script), goal,
+            grid_view=view,
+        )
+        return loop, engine, loop.run(n, batch=batch)
+
+    seq_loop, seq_engine, sequential = serve(False)
+    batch_loop, batch_engine, batched = serve(True)
+
+    # Nothing the deferred record build holds may alias the grid (a
+    # shared-memory segment is detached once its cell finishes).
+    if grid is not None:
+        for held in _closure_arrays(batched._materialize):
+            for plane in _grid_arrays(grid):
+                assert not np.shares_memory(held, plane)
+
+    arrays = batched.arrays
+    records = sequential.records
+    for name, field in (
+        ("latency_s", "latency_s"),
+        ("quality", "quality"),
+        ("energy_j", "energy_j"),
+        ("metric_value", "metric_value"),
+    ):
+        expected = [getattr(record.outcome, field) for record in records]
+        assert getattr(arrays, name).tolist() == pytest.approx(
+            expected, rel=REL_TOL, abs=0.0
+        ), name
+    assert arrays.violated.tolist() == [r.violated for r in records]
+    assert arrays.latency_violation.tolist() == [
+        r.latency_violation for r in records
+    ]
+    _assert_record_parity(sequential, batched)
+
+    seq_actuator, batch_actuator = seq_engine.actuator, batch_engine.actuator
+    assert batch_actuator.requested_cap_w == seq_actuator.requested_cap_w
+    assert batch_actuator.effective_cap_w == seq_actuator.effective_cap_w
+    assert batch_loop.clock.ticks == seq_loop.clock.ticks == n
+    assert batch_loop.clock.now() == pytest.approx(
+        seq_loop.clock.now(), rel=REL_TOL, abs=0.0
+    )
