@@ -12,7 +12,10 @@ vectorized single-state batch path (PR 1), and per-goal ``select``
 calls vs. one stacked ``select_many`` pass over a whole goal grid —
 the lockstep engine's inner step, where every goal's estimate comes
 from a single fused erf evaluation and every ranking from one
-segment-wise lexsort (PR 5).
+segment-wise lexsort (PR 5).  Each comparison times its two arms in
+alternating windows, ``repeats`` times, and records the median of the
+per-repeat ratios with their min/max as ``speedup_spread``, so
+host-speed drift hits both arms of a repeat alike.
 
 Run directly (no pytest machinery needed)::
 
@@ -33,8 +36,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import time
 from pathlib import Path
+
+from _timing import interleaved_ratio
 
 from repro.core.config_space import ConfigurationSpace
 from repro.core.estimator import AlertEstimator
@@ -83,21 +87,17 @@ def _goal_mix() -> list[Goal]:
     return goals
 
 
-def _throughput(select, workload, min_seconds: float) -> float:
-    """Decisions per second of one select callable over the workload."""
-    # Warm up caches (thresholds, q_min statics) outside the clock.
-    for goal, (xi_mean, xi_sigma, phi, tail) in workload:
-        select(goal, xi_mean, xi_sigma, phi, tail=tail)
-    count = 0
-    start = time.perf_counter()
-    while time.perf_counter() - start < min_seconds:
+def _workload_pass(select, workload):
+    """One pass of ``select`` over every workload point."""
+
+    def run_pass() -> None:
         for goal, (xi_mean, xi_sigma, phi, tail) in workload:
             select(goal, xi_mean, xi_sigma, phi, tail=tail)
-        count += len(workload)
-    return count / (time.perf_counter() - start)
+
+    return run_pass
 
 
-def _multi_goal_throughput(selector, min_seconds: float) -> dict:
+def _multi_goal_throughput(selector, min_seconds: float, repeats: int) -> dict:
     """Stacked ``select_many`` vs. per-goal ``select`` on a goal grid.
 
     The workload is one lockstep step: a Table-3-shaped constraint
@@ -131,26 +131,21 @@ def _multi_goal_throughput(selector, min_seconds: float) -> dict:
         for goal, (mean, sigma, phi, tail) in zip(goals, states):
             selector.select(goal, mean, sigma, phi, tail=tail)
 
-    def rate(fn) -> float:
-        fn()  # warm caches outside the clock
-        count = 0
-        start = time.perf_counter()
-        while time.perf_counter() - start < min_seconds:
-            fn()
-            count += len(goals)
-        return count / (time.perf_counter() - start)
-
-    stacked_dps = rate(stacked)
-    per_goal_dps = rate(per_goal)
+    timed = interleaved_ratio(
+        per_goal, stacked, len(goals), min_seconds, repeats
+    )
     return {
         "n_goals": len(goals),
-        "per_goal_decisions_per_sec": round(per_goal_dps, 1),
-        "stacked_decisions_per_sec": round(stacked_dps, 1),
-        "speedup": round(stacked_dps / per_goal_dps, 2),
+        "per_goal_decisions_per_sec": round(timed["slow_rate"], 1),
+        "stacked_decisions_per_sec": round(timed["fast_rate"], 1),
+        "speedup": round(timed["ratio"], 2),
+        "speedup_spread": timed["spread"],
     }
 
 
-def run(min_seconds: float = 2.0) -> dict:
+def run(min_seconds: float = 0.5, repeats: int = 5) -> dict:
+    """Both comparisons, each the median of ``repeats`` interleaved
+    window pairs (see :func:`_timing.interleaved_ratio`)."""
     models = list(sparse_resnet_family()) + [depth_nest_anytime()]
     profile = Profiler(CPU1).analytic(models)
     space = ConfigurationSpace(models, list(profile.powers))
@@ -158,8 +153,13 @@ def run(min_seconds: float = 2.0) -> dict:
     selector = ConfigSelector(space, estimator, use_batch=True)
 
     workload = [(goal, state) for goal in _goal_mix() for state in STATES]
-    batch_dps = _throughput(selector.select, workload, min_seconds)
-    scalar_dps = _throughput(selector.select_scalar, workload, min_seconds)
+    timed = interleaved_ratio(
+        _workload_pass(selector.select_scalar, workload),
+        _workload_pass(selector.select, workload),
+        len(workload),
+        min_seconds,
+        repeats,
+    )
 
     result = {
         "benchmark": "decide_throughput",
@@ -167,17 +167,19 @@ def run(min_seconds: float = 2.0) -> dict:
         "candidate_set": "table4_image",
         "n_configs": len(space),
         "n_workload_points": len(workload),
-        "scalar_decisions_per_sec": round(scalar_dps, 1),
-        "batch_decisions_per_sec": round(batch_dps, 1),
-        "speedup": round(batch_dps / scalar_dps, 2),
-        "multi_goal": _multi_goal_throughput(selector, min_seconds),
+        "repeats": repeats,
+        "scalar_decisions_per_sec": round(timed["slow_rate"], 1),
+        "batch_decisions_per_sec": round(timed["fast_rate"], 1),
+        "speedup": round(timed["ratio"], 2),
+        "speedup_spread": timed["spread"],
+        "multi_goal": _multi_goal_throughput(selector, min_seconds, repeats),
     }
     return result
 
 
 def smoke() -> None:
     """Sub-second end-to-end exercise of every path (for CI)."""
-    result = run(min_seconds=0.05)
+    result = run(min_seconds=0.05, repeats=1)
     assert result["speedup"] > 0
     assert result["multi_goal"]["speedup"] > 0
     print("bench_decide_throughput smoke ok")

@@ -56,7 +56,9 @@ Table 4 image scenario (CPU1, default environment):
   streaming-aggregation claim that driver memory is O(cells) in
   compact summaries, not O(inputs) in retained runs.  Cells are
   bit-identical either way (``tests/test_sweep_parity.py``), so the
-  store ratio is purely a wall-clock measurement.
+  store ratio is purely a wall-clock measurement.  The split shares
+  every grid between both processes; :func:`repro.runtime.sweep.run_sweep`
+  itself runs each timing group in one process and uses no store.
 
 Every section records the measuring box's ``cpu_count``: ratio
 metrics transfer across machines, but the executor's pool ratios do
@@ -312,31 +314,23 @@ def bench_cross_scheme(
     """Cross-scheme fused cells vs. per-scheme lockstep, full zoo."""
     scenario = _scenario()
     goals = _table3_goals(scenario, n_deadlines, n_floors)
-    timings = {True: float("inf"), False: float("inf")}
-    telemetry = None
-    for cross in (True, False):
+
+    def cell(cross: bool) -> None:
+        LOCKSTEP_TELEMETRY.reset()
         evaluate_schemes(
             scenario, goals, SCHEMES, n_inputs=n_inputs,
             fuse_cells=True, lockstep=True, cross_scheme=cross,
-        )  # warm-up (grids, profiles, memos)
-    # Interleave the two modes inside each repeat: the paths are close
-    # enough (~5%) that measuring one mode's whole block first lets
-    # clock/load drift masquerade as a speedup (or slowdown) on noisy
-    # single-core runners; alternating exposes both modes to the same
-    # drift and best-of-``repeats`` does the rest.
-    for _ in range(repeats):
-        for cross in (False, True):
-            LOCKSTEP_TELEMETRY.reset()
-            start = time.perf_counter()
-            evaluate_schemes(
-                scenario, goals, SCHEMES, n_inputs=n_inputs,
-                fuse_cells=True, lockstep=True, cross_scheme=cross,
-            )
-            timings[cross] = min(
-                timings[cross], time.perf_counter() - start
-            )
-            if cross:
-                telemetry = LOCKSTEP_TELEMETRY.snapshot()
+        )
+
+    # The paths are close (~5%), so the modes alternate inside each
+    # repeat and the ratio is the median per-repeat one (see
+    # :func:`_timing.interleaved_ratio`).  The cross arm runs last in
+    # every repeat, so the telemetry read afterwards is its own.
+    timed = interleaved_ratio(
+        lambda: cell(False), lambda: cell(True),
+        units=len(goals), min_seconds=0.0, repeats=repeats,
+    )
+    telemetry = LOCKSTEP_TELEMETRY.snapshot()
     return {
         "n_goals": len(goals),
         "n_deadlines": n_deadlines,
@@ -344,11 +338,12 @@ def bench_cross_scheme(
         "n_inputs": n_inputs,
         "cpu_count": os.cpu_count(),
         "schemes": list(SCHEMES),
-        "cross_seconds": round(timings[True], 4),
-        "per_scheme_seconds": round(timings[False], 4),
-        "cross_cells_per_sec": round(len(goals) / timings[True], 2),
-        "per_scheme_cells_per_sec": round(len(goals) / timings[False], 2),
-        "speedup": round(timings[False] / timings[True], 2),
+        "cross_seconds": round(len(goals) / timed["fast_rate"], 4),
+        "per_scheme_seconds": round(len(goals) / timed["slow_rate"], 4),
+        "cross_cells_per_sec": round(timed["fast_rate"], 2),
+        "per_scheme_cells_per_sec": round(timed["slow_rate"], 2),
+        "speedup": round(timed["ratio"], 2),
+        "speedup_spread": timed["spread"],
         "decision_path": telemetry,
         "note": (
             "cross = evaluate_schemes(cross_scheme=True): all stacking "
@@ -757,7 +752,10 @@ def bench_sweep(
             "bit-identical either way (tests/test_sweep_parity.py).  "
             "The win needs ≥2 workers: a single worker's cache already "
             "realises each grid exactly once, so workers.1 records the "
-            "store's pure publish overhead, not a win."
+            "store's pure publish overhead, not a win.  This split gives "
+            "every grid two consumers on purpose; run_sweep instead "
+            "sends each timing group to one worker, so each grid has a "
+            "single consumer there and the sweep uses no store."
         ),
     }
 

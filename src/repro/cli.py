@@ -21,10 +21,10 @@ can be regenerated from a shell::
 ``sweep`` is the production-scale front over the same executor: it
 expands a declarative spec (platforms x tasks x envs x seeds x the
 constraint grid x schemes) into fused cells, streams compact per-cell
-summaries back (O(cells) driver memory), shares realised outcome
-grids across pool workers through ``multiprocessing.shared_memory``,
-and checkpoints completed cells to JSONL so a killed sweep resumes
-bit-identically.
+summaries back (O(cells) driver memory), runs each group of cells
+sharing one outcome grid in one process so the grid is realised once
+and freed when the group ends, and checkpoints completed cells to
+JSONL so a killed sweep resumes bit-identically.
 
 ``fleet`` is the open-loop counterpart of ``serve``: N replicas (each
 with its own ALERT controller) behind a bounded admission queue and a
@@ -369,9 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
             "Expand a declarative sweep spec (platforms x tasks x envs x "
             "seeds x the constraint grid x schemes) into the executor's "
             "cell plan and run it with streaming per-cell summaries "
-            "(driver memory stays O(cells)).  With --workers > 1 a "
-            "shared-memory grid store realises each outcome grid once "
-            "per sweep instead of once per worker; with --checkpoint "
+            "(driver memory stays O(cells)).  Cells sharing one outcome "
+            "grid run as one timing group in one process, which realises "
+            "the grid once; --workers > 1 spreads the groups over a "
+            "process pool (at most one worker per group); with --checkpoint "
             "completed cells append to a JSONL file and a restarted "
             "sweep resumes bit-identically."
         ),
@@ -393,16 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--stride", type=int, default=3)
     sweep.add_argument("--inputs", type=int, default=100)
     sweep.add_argument("--workers", type=int, default=1, help=workers_help)
-    sweep.add_argument(
-        "--grid-store",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "share realised outcome grids across workers through "
-            "shared memory (default: on when --workers > 1; "
-            "bit-identical either way)"
-        ),
-    )
     sweep.add_argument(
         "--checkpoint",
         default=None,
@@ -554,7 +545,6 @@ def _run_sweep(args: argparse.Namespace) -> str:
     result = run_sweep(
         spec,
         workers=args.workers,
-        grid_store=args.grid_store,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
         keep_runs=args.keep_runs,

@@ -611,6 +611,15 @@ class _WorkerState:
             self._cache_put(self._grids, cache_key, cached, _GRID_CACHE_CAPACITY)
         return cached
 
+    def release_grids(self) -> None:
+        """Drop every cached outcome grid; the other caches stay.
+
+        For callers that know no later spec shares a timing with the
+        ones already run (a sweep's timing groups), so a grid would
+        only pin memory until the LRU evicted it.
+        """
+        self._grids.clear()
+
     def _build_grid(self, key: ScenarioKey, goal: Goal, n_inputs: int, space):
         """Attach the shared copy when a store is plugged in, else realise.
 

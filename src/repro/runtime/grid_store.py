@@ -44,10 +44,14 @@ the cross-process choreography:
   :meth:`GridStoreClient.get_or_realize`: look the grid up, else claim
   it (a *pending* marker under the store lock), realise, publish;
   losers of the claim race poll-wait for the marker to turn *ready*
-  and attach.  Every failure mode — a full ``/dev/shm``, a vanished
-  segment, a full registry, a publisher that died mid-realise
-  (timeout) — degrades to realising locally without publishing, so the
-  store is always an optimisation, never a correctness dependency.
+  and attach.  The marker names the segment as soon as the publisher
+  has one, so a publisher killed mid-realise leaves nothing that
+  :meth:`SharedGridStore.close` does not unlink.  Every failure mode —
+  a full ``/dev/shm``, a vanished segment, a full registry, a
+  publisher that died mid-realise (timeout), a lock its dead holder
+  never released — degrades to realising locally without publishing,
+  so the store is always an optimisation, never a correctness
+  dependency.
 
 Attached grids are plain :class:`~repro.models.inference.BatchOutcomeGrid`
 objects whose arrays are explicitly read-only (``writeable=False``): a
@@ -62,6 +66,7 @@ import multiprocessing
 import pickle
 import struct
 import time
+from contextlib import contextmanager
 from multiprocessing import resource_tracker, shared_memory
 
 from repro.models.inference import (
@@ -100,6 +105,23 @@ _POOL_KEY = "\x00segment-pool"
 
 #: Page granularity used when prefaulting pooled segments.
 _PAGE_SIZE = 4096
+
+#: Bound on waiting for the store lock.  A live holder keeps it for
+#: microseconds; only a process killed mid-operation keeps it forever,
+#: and then callers fail over (workers realise locally, the driver's
+#: close skips the registry) instead of hanging.
+_LOCK_TIMEOUT_S = 10.0
+
+
+@contextmanager
+def _holding(lock):
+    """Hold ``lock``, raising TimeoutError after :data:`_LOCK_TIMEOUT_S`."""
+    if not lock.acquire(timeout=_LOCK_TIMEOUT_S):
+        raise TimeoutError("grid store lock not released (holder died?)")
+    try:
+        yield
+    finally:
+        lock.release()
 
 
 def _digest(key) -> str:
@@ -170,25 +192,25 @@ class _ShmDict:
 
     # -- the dict surface the client uses ------------------------------
     def get(self, key, default=None):
-        with self._lock:
+        with _holding(self._lock):
             return self._read().get(key, default)
 
     def __setitem__(self, key, value) -> None:
-        with self._lock:
+        with _holding(self._lock):
             entries = self._read()
             entries[key] = value
             self._write(entries)
 
     def values(self) -> list:
-        with self._lock:
+        with _holding(self._lock):
             return list(self._read().values())
 
     def items(self) -> list:
-        with self._lock:
+        with _holding(self._lock):
             return list(self._read().items())
 
     def clear(self) -> None:
-        with self._lock:
+        with _holding(self._lock):
             self._write({})
 
     def unlink(self) -> None:
@@ -253,7 +275,7 @@ class GridStoreClient:
         if entry is None:
             claimed = False
             try:
-                with self._lock:
+                with _holding(self._lock):
                     if self._entries.get(key) is None:
                         self._entries[key] = (_PENDING, None, None)
                         claimed = True
@@ -283,7 +305,7 @@ class GridStoreClient:
     def _pop_pool(self, nbytes):
         """Claim a preallocated segment name of exactly ``nbytes``."""
         try:
-            with self._lock:
+            with _holding(self._lock):
                 pool = self._entries.get(_POOL_KEY)
                 names = (pool or {}).get(nbytes)
                 if not names:
@@ -328,6 +350,7 @@ class GridStoreClient:
         except Exception:
             self._set_entry(key, (_FAILED, None, None))
             return realize()
+        self._set_entry(key, (_PENDING, shm.name, None))
         try:
             allocator = buffer_grid_allocator(fields, shm.buf)
             grid = realize(allocator=allocator)
@@ -376,6 +399,7 @@ class GridStoreClient:
         except Exception:
             self._set_entry(key, (_FAILED, None, None))
             return None
+        self._set_entry(key, (_PENDING, shm.name, None))
         try:
             write_shared_grid(meta, arrays, shm.buf)
             adopted = adopt_shared_grid(
@@ -513,7 +537,7 @@ class SharedGridStore:
                 buf[offset] = 0
             names.append(shm.name)
             shm.close()
-        with self._lock:
+        with _holding(self._lock):
             pool = self._entries.get(_POOL_KEY) or {}
             pool.setdefault(nbytes, []).extend(names)
             self._entries[_POOL_KEY] = pool
@@ -528,7 +552,7 @@ class SharedGridStore:
         return self._client.stats()
 
     def close(self) -> None:
-        """Unlink every published segment, then the registry itself."""
+        """Unlink every store-created segment, then the registry itself."""
         if self._closed:
             return
         self._closed = True
@@ -539,10 +563,13 @@ class SharedGridStore:
                 if key != _POOL_KEY
             ]
             self._entries.clear()
-        except Exception:  # pragma: no cover - registry already gone
+        except Exception:  # registry gone, or its lock held by a dead process
             entries = []
-        for state, name, _meta in entries:
-            if state != _READY:
+        for _state, name, _meta in entries:
+            # READY entries name their segment, and so do PENDING ones
+            # once the publisher has one: a publisher killed
+            # mid-realise leaves its segment to this unlink.
+            if name is None:
                 continue
             try:
                 shm = shared_memory.SharedMemory(name=name)

@@ -8,11 +8,12 @@ the executor's existing :class:`~repro.runtime.executor.CellSpec`
 plan, executes serially or across a process pool, and scales along
 three axes the drivers do not:
 
-* **zero-copy grids** — with a
-  :class:`~repro.runtime.grid_store.SharedGridStore` (the default for
-  pooled sweeps), each (scenario, timing) outcome grid is realised
-  once per *sweep* and published via ``multiprocessing.shared_memory``;
-  workers attach read-only views instead of re-realising per process;
+* **grouped dispatch** — cells sharing one (scenario, timing) outcome
+  grid run back to back as one *timing group* in one process, which
+  realises the grid once and frees it when the group ends; a pooled
+  sweep submits one task per group, so no grid ever has a second
+  consumer and grids stay process-local (pool parallelism is capped
+  at the group count);
 * **streaming aggregation** — workers return compact per-cell
   :class:`CellSummary` rows (violation rate, means, latency
   percentiles, normalized scores), so driver memory is O(cells), not
@@ -36,7 +37,7 @@ import json
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,11 +189,11 @@ def compile_sweep(spec: SweepSpec) -> list[SweepUnit]:
     """Expand a sweep spec into its plan-ordered cell units.
 
     Within one scenario, units are ordered timing-major (all goals
-    sharing a deadline are consecutive), so both the per-process grid
-    cache and the shared grid store see each grid's whole unit group
-    back to back.  Combinations the Table-4 driver would not report
-    (GPU × non-image) and scenario construction failures skip that
-    combination rather than failing the sweep.
+    sharing a deadline are consecutive), so each outcome grid's cells
+    form one contiguous *timing group* — the unit :func:`run_sweep`
+    hands to one process.  Combinations the Table-4 driver would not
+    report (GPU × non-image) and scenario construction failures skip
+    that combination rather than failing the sweep.
     """
     units: list[SweepUnit] = []
     stride = spec.settings_stride
@@ -444,25 +445,60 @@ def load_checkpoint(path, spec_fp: str) -> dict[str, tuple[CellSummary, ...]]:
 #: executor's ``_POOL_STATE``: a sweep worker returns summaries, not
 #: RunResults, so the driver never holds O(inputs) pickled records).
 _SWEEP_STATE = None
-_SWEEP_GRID_STORE = None
 
 
-def _sweep_initializer(grid_store=None) -> None:
-    global _SWEEP_STATE, _SWEEP_GRID_STORE
-    _SWEEP_STATE = None
-    _SWEEP_GRID_STORE = grid_store
+def _execute_unit(state, unit: SweepUnit, keep_runs: bool):
+    """Run one cell on ``state``: its summaries, plus its runs if kept."""
+    runs = state.execute(unit.cell_spec())
+    summaries = summarize_cell(unit.schemes, runs)
+    return summaries, (runs if keep_runs else None)
 
 
 def _sweep_execute(unit: SweepUnit, keep_runs: bool):
-    """Pool entry point: run one cell, return its compact summaries."""
+    """Run one cell in a pool worker, return its compact summaries."""
     global _SWEEP_STATE
     if _SWEEP_STATE is None:
         from repro.runtime.executor import _WorkerState
 
-        _SWEEP_STATE = _WorkerState(grid_store=_SWEEP_GRID_STORE)
-    runs = _SWEEP_STATE.execute(unit.cell_spec())
-    summaries = summarize_cell(unit.schemes, runs)
-    return summaries, (runs if keep_runs else None)
+        _SWEEP_STATE = _WorkerState()
+    return _execute_unit(_SWEEP_STATE, unit, keep_runs)
+
+
+def _sweep_execute_group(units: list[SweepUnit], keep_runs: bool) -> list:
+    """Pool entry point: run one timing group's cells, then free its grid.
+
+    Each cell goes through the module-level :func:`_sweep_execute`, so
+    a replacement installed there (a tracing wrapper) sees every cell.
+    """
+    try:
+        return [_sweep_execute(unit, keep_runs) for unit in units]
+    finally:
+        if _SWEEP_STATE is not None:
+            _SWEEP_STATE.release_grids()
+
+
+def _timing_key(unit: SweepUnit) -> tuple:
+    """The key a worker's outcome-grid cache shares a grid under."""
+    return (unit.scenario, unit.goal.deadline_s, unit.goal.period)
+
+
+def _timing_groups(units: list[SweepUnit], pending: list[int]) -> list[list[int]]:
+    """Split ``pending`` plan positions into maximal one-timing runs.
+
+    Consecutive positions whose units share a timing key form one
+    group; groups keep plan order and together hold every pending
+    position exactly once.
+    """
+    groups: list[list[int]] = []
+    previous = None
+    for position in pending:
+        key = _timing_key(units[position])
+        if groups and key == previous:
+            groups[-1].append(position)
+        else:
+            groups.append([position])
+        previous = key
+    return groups
 
 
 @dataclass
@@ -473,7 +509,9 @@ class SweepResult:
     for an aborted (``cell_limit``) sweep's unexecuted tail.
     ``runs`` maps unit fingerprints to full per-scheme
     :class:`~repro.runtime.results.RunResult` lists when the sweep ran
-    with ``keep_runs=True``.
+    with ``keep_runs=True``.  ``grid_store_stats`` is always None: a
+    sweep keeps its grids process-local (the field stays for readers
+    that still look it up).
     """
 
     spec: SweepSpec
@@ -485,7 +523,7 @@ class SweepResult:
     elapsed_s: float
     checkpoint_path: str | None = None
     runs: dict[str, list[RunResult]] | None = None
-    grid_store_stats: dict | None = field(default=None)
+    grid_store_stats: dict | None = None
 
     @property
     def n_cells(self) -> int:
@@ -508,12 +546,6 @@ class SweepResult:
             f"{'complete' if self.complete else 'partial'}) "
             f"in {self.elapsed_s:.2f}s ({rate:.1f} cells/s executed)",
         ]
-        if self.grid_store_stats is not None:
-            stats = self.grid_store_stats
-            lines.append(
-                f"  grid store: {stats['grids']} shared grids, "
-                f"{stats['nbytes'] / 1e6:.1f} MB published"
-            )
         by_scheme: dict[str, list[float]] = {}
         for cell in self.cells:
             if cell is None:
@@ -534,7 +566,6 @@ class SweepResult:
 def run_sweep(
     spec: SweepSpec,
     workers: int = 1,
-    grid_store: bool | None = None,
     checkpoint_path: str | None = None,
     resume: bool = True,
     keep_runs: bool = False,
@@ -542,22 +573,33 @@ def run_sweep(
 ) -> SweepResult:
     """Execute a sweep spec: compile, (re)run, stream, checkpoint.
 
+    The unit of execution is the *timing group*: a maximal run of
+    pending cells sharing one (scenario, deadline, period), which
+    :func:`compile_sweep` places back to back.  Each group runs in one
+    process, so its outcome grid is realised exactly once, locally,
+    by the only process that reads it, and is dropped when the group
+    ends; no grid is shared between processes.  Pool parallelism is
+    therefore capped at the number of timing groups (a shipped
+    constraint grid has 7 per scenario): the pool starts at most one
+    worker per group, and pending cells that form a single group run
+    in-process.
+
     Parameters
     ----------
     workers:
-        1 runs in-process; >1 fans cells out over a process pool.
-        Output is bit-identical either way (plan-ordered merge).
-    grid_store:
-        True shares realised outcome grids across workers through a
-        :class:`~repro.runtime.grid_store.SharedGridStore`; False keeps
-        the per-process caches; None (default) enables the store
-        exactly when it can pay for itself (``workers > 1``).  Store
-        construction failures degrade to per-process caches.
+        1 runs in-process; >1 fans timing groups out over a process
+        pool, one task per group.  Output is bit-identical either way
+        (plan-ordered merge).
     checkpoint_path:
-        JSONL file completed cells append to.  With ``resume`` (the
-        default) cells already checkpointed under this spec's
-        fingerprint are skipped and their summaries merged as-is —
-        bit-identical to recomputing them.
+        JSONL file completed cells append to, one line per cell.  The
+        serial path writes each cell as it finishes; a pooled group's
+        cells are written together when the whole group finishes, so a
+        worker or driver killed mid-sweep loses the finished cells of
+        every in-flight group (at most one group per worker) and a
+        resume reruns them.  With ``resume`` (the default) cells
+        already checkpointed under this spec's fingerprint are skipped
+        and their summaries merged as-is — bit-identical to
+        recomputing them.
     keep_runs:
         Additionally collect every cell's full ``RunResult`` lists
         (driver memory grows to O(inputs); the parity reference).
@@ -594,19 +636,7 @@ def run_sweep(
     if cell_limit is not None:
         pending = pending[:cell_limit]
 
-    store = None
-    client = None
-    use_store = grid_store if grid_store is not None else workers > 1
-    if use_store and pending:
-        from repro.runtime.grid_store import SharedGridStore
-
-        try:
-            store = SharedGridStore()
-            client = store.client()
-        except Exception:
-            store = None
-            client = None
-
+    groups = _timing_groups(units, pending)
     runs: dict[str, list[RunResult]] | None = {} if keep_runs else None
     handle = None
     try:
@@ -624,27 +654,28 @@ def run_sweep(
                 )
                 handle.flush()
 
-        if workers == 1 or len(pending) <= 1:
+        if workers == 1 or len(groups) <= 1:
             from repro.runtime.executor import _WorkerState
 
-            state = _WorkerState(grid_store=client)
-            for position in pending:
-                unit_runs = state.execute(units[position].cell_spec())
-                summaries = summarize_cell(units[position].schemes, unit_runs)
-                record(
-                    position, summaries, unit_runs if keep_runs else None
-                )
-        elif pending:
-            n_workers = min(workers, len(pending))
+            state = _WorkerState()
+            for group in groups:
+                for position in group:
+                    record(
+                        position,
+                        *_execute_unit(state, units[position], keep_runs),
+                    )
+                state.release_grids()
+        else:
             with ProcessPoolExecutor(
-                max_workers=n_workers,
-                initializer=_sweep_initializer,
-                initargs=(client,),
+                max_workers=min(workers, len(groups))
             ) as pool:
                 futures = {
-                    pool.submit(_sweep_execute, units[position], keep_runs):
-                    position
-                    for position in pending
+                    pool.submit(
+                        _sweep_execute_group,
+                        [units[position] for position in group],
+                        keep_runs,
+                    ): group
+                    for group in groups
                 }
                 outstanding = set(futures)
                 while outstanding:
@@ -652,15 +683,12 @@ def run_sweep(
                         outstanding, return_when=FIRST_COMPLETED
                     )
                     for future in done:
-                        position = futures[future]
-                        summaries, cell_runs = future.result()
-                        record(position, summaries, cell_runs)
+                        group = futures[future]
+                        for position, outcome in zip(group, future.result()):
+                            record(position, *outcome)
     finally:
         if handle is not None:
             handle.close()
-        stats = store.stats() if store is not None else None
-        if store is not None:
-            store.close()
 
     executed = len(pending)
     complete = all(cell is not None for cell in cells)
@@ -674,5 +702,4 @@ def run_sweep(
         elapsed_s=time.perf_counter() - started,
         checkpoint_path=checkpoint_path,
         runs=runs,
-        grid_store_stats=stats,
     )

@@ -1,10 +1,9 @@
-"""Parity and crash-resume suite for the zero-copy sweep engine.
+"""Parity and crash-resume suite for the sweep engine.
 
-Pins the sweep engine's contract (ISSUE 8): a shared-store sweep, a
-per-process-cache sweep, and the in-process
-:func:`repro.experiments.harness.evaluate_schemes` reference must all
-produce the same cells — discrete record fields exactly, float fields
-to ≤1e-12 relative; a killed sweep resumed from its JSONL checkpoint
+Pins the sweep engine's contract: a pooled sweep, a serial sweep, and
+the in-process :func:`repro.experiments.harness.evaluate_schemes`
+reference must all produce the same cells — discrete record fields
+exactly, float fields to ≤1e-12 relative; a killed sweep resumed from its JSONL checkpoint
 must merge bit-identically with an uninterrupted run (including a
 corrupted or truncated trailing checkpoint line); pooled execution
 must equal serial.  Also covers the satellites riding along: the
@@ -47,11 +46,9 @@ from repro.runtime.results import RunResult
 from repro.runtime.sweep import (
     CellSummary,
     SweepSpec,
-    SweepUnit,
     compile_sweep,
     load_checkpoint,
     run_sweep,
-    summarize_cell,
 )
 from repro.workloads.scenarios import build_scenario
 
@@ -202,20 +199,12 @@ def test_sweep_matches_evaluate_schemes():
 
 
 def test_pool_and_store_match_serial():
+    """A pooled sweep equals serial and publishes nothing to a store."""
     serial = run_sweep(SPEC, workers=1)
-    pooled_store = run_sweep(SPEC, workers=2)  # store on by default
-    pooled_cache = run_sweep(SPEC, workers=2, grid_store=False)
-    assert pooled_store.cells == serial.cells
-    assert pooled_cache.cells == serial.cells
-    assert pooled_store.grid_store_stats is not None
-    assert pooled_store.grid_store_stats["grids"] > 0
-    assert pooled_store.grid_store_stats["failed"] == 0
-
-
-def test_store_on_serial_matches_plain_serial():
-    plain = run_sweep(SPEC, workers=1, grid_store=False)
-    stored = run_sweep(SPEC, workers=1, grid_store=True)
-    assert stored.cells == plain.cells
+    pooled = run_sweep(SPEC, workers=2)
+    assert pooled.cells == serial.cells
+    assert serial.grid_store_stats is None
+    assert pooled.grid_store_stats is None
 
 
 def test_evaluate_schemes_accepts_grid_store(memory_scenario):
@@ -689,7 +678,6 @@ def test_cli_sweep_parser_flags():
             "GPU",
             "--workers",
             "2",
-            "--no-grid-store",
             "--checkpoint",
             "out.jsonl",
             "--cell-limit",
@@ -698,7 +686,6 @@ def test_cli_sweep_parser_flags():
     )
     assert args.platforms == ["CPU1", "GPU"]
     assert args.workers == 2
-    assert args.grid_store is False
     assert args.checkpoint == "out.jsonl"
     assert args.cell_limit == 5
     assert args.resume is True
